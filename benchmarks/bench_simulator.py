@@ -3,23 +3,26 @@
 Two entry points:
 
 - As a pytest-benchmark module: conventional timing benchmarks of every
-  engine (the ``auto`` dispatch, the forced ``vector``/``loop``/
-  ``reference`` backends, and trace generation), so regressions in any
-  hot path show up.
+  engine (the ``auto`` dispatch, the forced ``vector`` backend, the
+  reference ``Cache``, and trace generation), so regressions in any hot
+  path show up.
 
 - As a script (``python benchmarks/bench_simulator.py``): a small smoke
-  grid comparing the loop and vector engines across the four write-miss
-  policies, a ``batch`` section timing a full figure-style configuration
-  grid through ``simulate_trace_batch`` (profiling pinned off, so it
-  stays a pure vecsim-batching measurement) against per-run vector
+  grid comparing the reference and vector engines across the four
+  write-miss policies, a ``batch`` section timing a full figure-style
+  configuration grid through ``vecsim.simulate_batch`` (no profiler, so
+  it stays a pure vecsim-batching measurement) against per-run vector
   calls, an ``rdsim`` section timing the figs 13-16 size-sweep grid
-  through the reuse-distance ladder profiler against that same batched
-  path, and a ``hier`` section timing the two-level hier_miss figure
-  grid through the level-by-level hierarchy kernel against the composed
-  loop engine, and an ``ingest`` section timing the chunked array-native
-  trace parser (:mod:`repro.trace.ingest`) against the line-by-line
+  through the default dispatch (which collapses it through the
+  reuse-distance ladder profiler) against that same batched path, a
+  ``hier`` section timing the two-level hier_miss figure grid through
+  the level-by-level hierarchy kernel against the composed reference
+  path, and an ``ingest`` section timing the chunked array-native trace
+  parser (:mod:`repro.trace.ingest`) against the line-by-line
   ``read_trace`` reader on the same text file, written to
-  ``BENCH_simulator.json`` as refs/sec plus the speedups.  ``--check BASELINE`` compares the measured *speedups*
+  ``BENCH_simulator.json`` as refs/sec plus the speedups.  Every speedup
+  is a ratio taken in one run on one machine.  ``--check BASELINE``
+  compares the measured *speedups*
   against a committed baseline and fails on a >30% regression
   (``--tolerance``); sections absent from the baseline (a freshly added
   benchmark) warn and record instead of failing.  Speedup ratios are
@@ -144,12 +147,6 @@ def test_vector_throughput_write_validate(benchmark, trace):
     assert stats.validate_allocations > 0
 
 
-def test_loop_throughput_write_back(benchmark, trace):
-    config = CacheConfig(size=8192, line_size=16)
-    stats = benchmark(simulate_trace, trace, config, backend="loop")
-    assert stats.fetches > 0
-
-
 def test_reference_simulator_throughput(benchmark, trace):
     def run():
         cache = Cache(CacheConfig(size=8192, line_size=16))
@@ -179,7 +176,7 @@ def test_rdsim_ladder_grid_throughput(benchmark, trace):
 
     def run():
         vecsim.clear_plan_cache()
-        return simulate_trace_batch(trace, grid, profile=True)
+        return simulate_trace_batch(trace, grid)
 
     results = benchmark(run)
     assert len(results) == len(grid)
@@ -222,7 +219,7 @@ def _best_refs_per_sec(trace, config, backend, repeats):
 
 def run_smoke_grid(workload="grr", scale=0.3, repeats=3):
     trace = load(workload, scale=scale)
-    trace.addresses  # warm the list views so the loop engine is not charged
+    trace.addresses  # warm the list views so the reference is not charged
     report = {
         "workload": workload,
         "scale": scale,
@@ -232,12 +229,12 @@ def run_smoke_grid(workload="grr", scale=0.3, repeats=3):
     }
     for name, hit, miss in SMOKE_CONFIGS:
         config = CacheConfig(size=8192, line_size=16, write_hit=hit, write_miss=miss)
-        loop = _best_refs_per_sec(trace, config, "loop", repeats)
+        reference = _best_refs_per_sec(trace, config, "reference", repeats)
         vector = _best_refs_per_sec(trace, config, "vector", repeats)
         report["configs"][name] = {
-            "loop_refs_per_sec": round(loop),
+            "reference_refs_per_sec": round(reference),
             "vector_refs_per_sec": round(vector),
-            "speedup": round(vector / loop, 2),
+            "speedup": round(vector / reference, 2),
         }
     report["batch"] = _bench_batch_grid(trace, repeats)
     report["rdsim"] = _bench_rdsim_grid(trace, repeats)
@@ -291,9 +288,9 @@ def _bench_batch_grid(trace, repeats):
 
     Both sides start cold — the batch clears the plan cache each round —
     so the batched speedup honestly includes plan construction, exactly
-    the cost a pool worker pays per (trace, grid) task.  Profiling is
-    pinned off: this section owns the vecsim-batching ratio, the
-    ``rdsim`` section owns the profiler's.
+    the cost a pool worker pays per (trace, grid) task.  The batch calls
+    vecsim directly, bypassing the profiler: this section owns the
+    vecsim-batching ratio, the ``rdsim`` section owns the profiler's.
     """
     grid = batch_grid()
     grid_refs = len(trace) * len(grid)
@@ -309,7 +306,7 @@ def _bench_batch_grid(trace, repeats):
     for _ in range(repeats):
         vecsim.clear_plan_cache()
         started = time.perf_counter()
-        simulate_trace_batch(trace, grid, profile=False)
+        vecsim.simulate_batch(trace, grid, True)
         batch_best = min(batch_best, time.perf_counter() - started)
 
     return {
@@ -336,14 +333,14 @@ def _bench_rdsim_grid(trace, repeats):
     for _ in range(repeats):
         vecsim.clear_plan_cache()
         started = time.perf_counter()
-        simulate_trace_batch(trace, grid, profile=False)
+        vecsim.simulate_batch(trace, grid, True)
         batch_best = min(batch_best, time.perf_counter() - started)
 
     rdsim_best = float("inf")
     for _ in range(repeats):
         vecsim.clear_plan_cache()
         started = time.perf_counter()
-        simulate_trace_batch(trace, grid, profile=True)
+        simulate_trace_batch(trace, grid)
         rdsim_best = min(rdsim_best, time.perf_counter() - started)
 
     return {
@@ -356,25 +353,26 @@ def _bench_rdsim_grid(trace, repeats):
 
 
 def _bench_hier_grid(trace, repeats):
-    """Two-level figure-grid refs/sec: composed loop vs the hierarchy kernel.
+    """Two-level figure-grid refs/sec: composed reference vs the hierarchy kernel.
 
-    The loop side composes ``CacheSystem`` per config
-    (``backend="loop"``); the vector side runs the same grid through
+    The reference side composes ``CacheSystem`` per config
+    (``backend="reference"``); the vector side runs the same grid through
     ``simulate_hierarchy_batch_info`` with cold plans each round, so its
     speedup honestly includes plan construction and the L0->L1 boundary
     stream materialisation — the full cost a figure render pays.
     ``hier_vector_runs`` is carried into the report so CI can assert the
-    kernel actually engaged rather than silently declining to the loop.
+    kernel actually engaged rather than silently declining to the composed
+    path.
     """
     grid = hier_grid()
     grid_refs = len(trace) * len(grid)
 
-    loop_best = float("inf")
+    reference_best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
         for config in grid:
-            simulate_hierarchy(trace, config, backend="loop")
-        loop_best = min(loop_best, time.perf_counter() - started)
+            simulate_hierarchy(trace, config, backend="reference")
+        reference_best = min(reference_best, time.perf_counter() - started)
 
     hier_best = float("inf")
     vector_runs = 0
@@ -389,9 +387,9 @@ def _bench_hier_grid(trace, repeats):
         "grid_configs": len(grid),
         "grid_refs": grid_refs,
         "hier_vector_runs": vector_runs,
-        "loop_refs_per_sec": round(grid_refs / loop_best),
+        "reference_refs_per_sec": round(grid_refs / reference_best),
         "hier_refs_per_sec": round(grid_refs / hier_best),
-        "speedup": round(loop_best / hier_best, 2),
+        "speedup": round(reference_best / hier_best, 2),
     }
 
 
@@ -406,7 +404,6 @@ def measure_fault_gate_overhead(trace, config, repeats=3, calls=100_000):
     calls a run pays must stay under a fraction of a percent of the
     cheapest real simulation.
     """
-    from repro.cache.stats import CacheStats
     from repro.exec import faults
     from repro.exec.keys import RunKey
 
@@ -530,7 +527,7 @@ def main(argv=None):
     )
     for name, row in report["configs"].items():
         print(
-            f"{name:22s} loop {row['loop_refs_per_sec'] / 1e6:6.2f} Mref/s  "
+            f"{name:22s} ref  {row['reference_refs_per_sec'] / 1e6:6.2f} Mref/s  "
             f"vector {row['vector_refs_per_sec'] / 1e6:6.2f} Mref/s  "
             f"speedup {row['speedup']:.2f}x"
         )
@@ -549,7 +546,7 @@ def main(argv=None):
 
     hier = report["hier"]
     print(
-        f"{'hier-figure-grid':22s} loop   {hier['loop_refs_per_sec'] / 1e6:5.2f}"
+        f"{'hier-figure-grid':22s} ref    {hier['reference_refs_per_sec'] / 1e6:5.2f}"
         f" Mref/s  hier  {hier['hier_refs_per_sec'] / 1e6:7.2f} Mref/s  "
         f"speedup {hier['speedup']:.2f}x ({hier['grid_configs']} configs)"
     )

@@ -15,6 +15,7 @@ from repro import CacheConfig, CacheSystem, CoalescingWriteBuffer, WriteCache, l
 from repro.cache.policies import WriteHitPolicy
 from repro.common.render import format_table
 from repro.core.runner import run
+from repro.hierarchy import HierarchyConfig, LevelConfig
 
 
 def main() -> None:
@@ -74,9 +75,9 @@ def main() -> None:
     )
 
     # Bonus: show the same thing end-to-end through a composed system.
+    l1 = CacheConfig(size="8KB", line_size=16, write_hit=WriteHitPolicy.WRITE_THROUGH)
     system = CacheSystem(
-        CacheConfig(size="8KB", line_size=16, write_hit=WriteHitPolicy.WRITE_THROUGH),
-        write_cache_entries=5,
+        HierarchyConfig(levels=(LevelConfig(cache=l1, write_cache_entries=5),))
     )
     system.run(trace)
     meter = system.memory_traffic

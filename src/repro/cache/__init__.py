@@ -12,10 +12,10 @@ data cache simulator with:
 
 :class:`repro.cache.cache.Cache` is the general reference simulator
 (set-associative, optional data fidelity); :mod:`repro.cache.fastsim`
-dispatches stats-only direct-mapped runs to the fastest bit-identical
-engine — the vectorised numpy kernel :mod:`repro.cache.vecsim` where it
-applies, a tight per-reference Python loop otherwise — both validated
-against the reference.
+dispatches stats-only direct-mapped runs to the vectorised numpy kernel
+:mod:`repro.cache.vecsim` (and size ladders to the reuse-distance
+profiler :mod:`repro.cache.rdsim`), both validated bit for bit against
+the reference, and everything else to the reference itself.
 """
 
 from repro.cache.policies import (

@@ -5,8 +5,10 @@ A cursor accepts :class:`repro.trace.trace.Trace` chunks one at a time
 produces :class:`CacheStats` bit-identical to a single in-memory run
 over the concatenated trace, while holding only one chunk plus per-set
 cache state in memory.  :func:`open_cursor` mirrors the engine dispatch
-of :func:`repro.cache.fastsim.simulate_trace`, so every backend stays
-available on the streamed path.
+of :func:`repro.cache.fastsim.simulate_trace`: a :class:`VectorCursor`
+for what the vector kernel covers, a :class:`ReferenceCursor` (one
+persistent reference ``Cache``) for everything else or when the
+``reference`` backend is pinned.
 
 The vectorised cursor cannot simply re-enter the array kernel with
 carried state (the kernel's scans assume a cold cache), so it resumes by
@@ -132,7 +134,7 @@ def build_prelude(state: "vecsim.CacheState", config: CacheConfig) -> Trace:
 def _flush_from_state(
     stats: CacheStats, state: "vecsim.CacheState", config: CacheConfig
 ) -> None:
-    """Flush-stop accounting over an exported state (loop-engine order)."""
+    """Flush-stop accounting over an exported state."""
     stats.flushed_lines += state.resident_count
     for dirty in state.dirty:
         if not dirty:
@@ -186,35 +188,6 @@ class VectorCursor:
         return stats
 
 
-class LoopCursor:
-    """Chunk cursor over the per-reference loop engine (in-place state)."""
-
-    def __init__(self, config: CacheConfig, flush: bool):
-        from repro.cache import fastsim
-
-        self.config = config
-        self.flush = flush
-        self._fastsim = fastsim
-        num_sets = config.num_sets
-        self._state = ([-1] * num_sets, [0] * num_sets, [0] * num_sets)
-        self._stats: Optional[CacheStats] = None
-
-    def feed(self, chunk: Trace) -> None:
-        stats = self._fastsim._simulate_direct_mapped(
-            chunk, self.config, flush=False, state=self._state
-        )
-        self._stats = stats if self._stats is None else self._stats.merge(stats)
-
-    def finish(self) -> CacheStats:
-        stats = self._stats
-        if stats is None:
-            stats = CacheStats(line_size=self.config.line_size)
-        if self.flush:
-            tags, _valid, dirty = self._state
-            self._fastsim._flush_direct_mapped(stats, tags, dirty, self.config)
-        return stats
-
-
 class ReferenceCursor:
     """Chunk cursor over the reference :class:`Cache` (persistent object)."""
 
@@ -241,17 +214,6 @@ def open_cursor(config: CacheConfig, flush: bool = True, backend: str = None):
     """
     from repro.cache import fastsim
 
-    choice = fastsim._resolve_backend(backend)
-    if choice == "reference":
+    if fastsim._use_reference(config, fastsim._resolve_backend(backend)):
         return ReferenceCursor(config, flush)
-    if not config.is_direct_mapped or config.store_data or config.subblock_fetch:
-        if choice != "auto":
-            raise fastsim.ConfigurationError(
-                f"backend {choice!r} cannot simulate {config.name}: only the "
-                "reference simulator covers set-associative, data-carrying "
-                "or sectored configurations"
-            )
-        return ReferenceCursor(config, flush)
-    if choice == "loop":
-        return LoopCursor(config, flush)
     return VectorCursor(config, flush)

@@ -9,15 +9,13 @@ property the test suite enforces):
 - :mod:`repro.cache.vecsim` — whole-trace numpy array passes, for every
   stats-only direct-mapped configuration (wide lines use multiple
   uint64 byte-mask lanes);
-- :func:`_simulate_direct_mapped` — a tight per-reference Python loop
-  (flat lists for tag/valid/dirty state, counters in locals), kept as a
-  differential check and explicit ``loop`` backend;
 - the reference ``Cache`` for everything else (set-associative,
-  data-carrying, sectored).
+  data-carrying, sectored).  It is also the oracle every fast engine is
+  differential-tested against.
 
-Set ``$REPRO_SIM_BACKEND`` (or pass ``backend=``) to ``loop``, ``vector``
-or ``reference`` to pin an engine — benchmarks use this to compare them;
-``auto`` (the default) picks as above.
+Pass ``backend="vector"`` or ``backend="reference"`` to pin an engine —
+tests and benchmarks use this to compare them; ``auto`` (the default)
+picks as above.
 
 Grid sweeps should prefer :func:`simulate_trace_batch`, which hands an
 entire list of configurations to :func:`vecsim.simulate_batch` so the
@@ -31,18 +29,15 @@ further: sub-grids that vary only in cache size (two or more distinct
 profiler (:mod:`repro.cache.rdsim`), which serves every size on the
 ladder from a single profiling pass.  The profiler is bit-identical to
 vecsim for every shape it accepts and falls back to vecsim for the rest,
-so results never depend on the route taken.  Set ``$REPRO_SIM_PROFILE=0``
-(or pass ``profile=False``) to opt out; a pinned ``vector`` backend also
+so results never depend on the route taken.  A pinned ``vector`` backend
 bypasses the profiler, so benchmarks can still measure pure vecsim.
 """
 
-import os
 from typing import List, Sequence, Tuple
 
 from repro.cache import rdsim, vecsim
 from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
-from repro.cache.policies import WriteMissPolicy
 from repro.cache.stats import CacheStats
 from repro.common.errors import ConfigurationError
 from repro.trace.trace import Trace
@@ -51,33 +46,38 @@ from repro.trace.trace import Trace
 #: an unchanged (trace, config) pair.  The on-disk result store folds this
 #: into every content hash, so a bump invalidates all persisted results.
 #: The vectorised kernel — single-run and batched — is bit-identical to
-#: the loop, so all engines share one version.
+#: the reference ``Cache``, so all engines share one version.
 SIMULATOR_VERSION = 1
 
-#: Environment variable pinning the simulation engine.
-ENV_BACKEND = "REPRO_SIM_BACKEND"
-
-#: Environment variable opting out of reuse-distance profiling in batch
-#: dispatch (mirrors ``$REPRO_SIM_BATCH``: anything but 0/false/off keeps
-#: the default on).
-ENV_PROFILE = "REPRO_SIM_PROFILE"
-
-_BACKENDS = ("auto", "vector", "loop", "reference")
-
-
-def profiling_default() -> bool:
-    """Whether batch dispatch may collapse size ladders through rdsim."""
-    flag = os.environ.get(ENV_PROFILE, "1").strip().lower()
-    return flag not in ("0", "false", "off")
+_BACKENDS = ("auto", "vector", "reference")
 
 
 def _resolve_backend(backend):
-    choice = backend if backend is not None else os.environ.get(ENV_BACKEND, "auto")
+    choice = "auto" if backend is None else backend
     if choice not in _BACKENDS:
         raise ConfigurationError(
             f"unknown simulator backend {choice!r}; expected one of {_BACKENDS}"
         )
     return choice
+
+
+def _use_reference(config: CacheConfig, choice: str) -> bool:
+    """Whether ``choice`` routes ``config`` to the reference ``Cache``.
+
+    Raises when ``vector`` is pinned for a configuration outside the
+    vector kernel's shape.
+    """
+    if choice == "reference":
+        return True
+    if vecsim.supports(config):
+        return False
+    if choice != "auto":
+        raise ConfigurationError(
+            f"backend {choice!r} cannot simulate {config.name}: only the "
+            "reference simulator covers set-associative, data-carrying "
+            "or sectored configurations"
+        )
+    return True
 
 
 def _simulate_reference(trace: Trace, config: CacheConfig, flush: bool) -> CacheStats:
@@ -95,23 +95,12 @@ def simulate_trace(
 
     ``flush`` controls whether flush-stop statistics are collected at the
     end of the run (the cache state is discarded either way).  ``backend``
-    overrides engine selection (``auto``/``vector``/``loop``/``reference``;
-    default: ``$REPRO_SIM_BACKEND`` or ``auto``).  Every engine produces
-    bit-identical :class:`CacheStats`.
+    overrides engine selection (``auto``/``vector``/``reference``;
+    default ``auto``).  Every engine produces bit-identical
+    :class:`CacheStats`.
     """
-    choice = _resolve_backend(backend)
-    if choice == "reference":
+    if _use_reference(config, _resolve_backend(backend)):
         return _simulate_reference(trace, config, flush)
-    if not config.is_direct_mapped or config.store_data or config.subblock_fetch:
-        if choice != "auto":
-            raise ConfigurationError(
-                f"backend {choice!r} cannot simulate {config.name}: only the "
-                "reference simulator covers set-associative, data-carrying "
-                "or sectored configurations"
-            )
-        return _simulate_reference(trace, config, flush)
-    if choice == "loop":
-        return _simulate_direct_mapped(trace, config, flush)
     return vecsim.simulate_direct_mapped(trace, config, flush)
 
 
@@ -134,7 +123,6 @@ def simulate_trace_batch_info(
     configs: Sequence[CacheConfig],
     flush: bool = True,
     backend: str = None,
-    profile: bool = None,
 ) -> Tuple[List[CacheStats], rdsim.ProfileInfo]:
     """:func:`simulate_trace_batch` plus how the work was divided.
 
@@ -143,12 +131,10 @@ def simulate_trace_batch_info(
     profiling passes (``profile_passes``) and profiler-declined configs
     served by the vecsim fallback inside :func:`rdsim.simulate_ladder`
     (``fallback_runs``); configs that never routed through the profiler
-    appear in none of them.  ``profile`` overrides
-    :func:`profiling_default`; profiling only engages under the ``auto``
+    appear in none of them.  Profiling only engages under the ``auto``
     backend, so pinning ``vector`` measures pure vecsim batching.
     """
     choice = _resolve_backend(backend)
-    use_profile = profiling_default() if profile is None else bool(profile)
     configs = list(configs)
     results: List[CacheStats] = [None] * len(configs)
     info = rdsim.ProfileInfo()
@@ -158,7 +144,7 @@ def simulate_trace_batch_info(
             batchable.append(index)
         else:
             results[index] = simulate_trace(trace, config, flush=flush, backend=choice)
-    if batchable and use_profile and choice == "auto" and len(trace):
+    if batchable and choice == "auto" and len(trace):
         ladder = _ladder_indices(configs, batchable)
         if ladder:
             ladder_results, ladder_info = rdsim.simulate_ladder_info(
@@ -185,7 +171,6 @@ def simulate_trace_batch(
     configs: Sequence[CacheConfig],
     flush: bool = True,
     backend: str = None,
-    profile: bool = None,
 ) -> List[CacheStats]:
     """Run ``trace`` through every configuration in ``configs``.
 
@@ -194,231 +179,14 @@ def simulate_trace_batch(
     for that config alone — the batched kernels share the
     config-independent trace passes, never the semantics.  Under the
     ``auto`` backend, sub-grids spanning two or more cache sizes at one
-    line size collapse through the reuse-distance profiler (disable with
-    ``profile=False`` or ``$REPRO_SIM_PROFILE=0``); the rest of the
-    supported configs share one :func:`vecsim.simulate_batch` call.
+    line size collapse through the reuse-distance profiler; the rest of
+    the supported configs share one :func:`vecsim.simulate_batch` call.
     Configurations the vector kernel does not cover (set-associative,
     data-carrying, sectored) fall back to per-run engines inside the
-    batch; a pinned ``backend`` other than ``auto``/``vector`` runs
-    everything per-run.
+    batch; a pinned ``reference`` backend runs everything per-run.
     """
-    results, _ = simulate_trace_batch_info(
-        trace, configs, flush=flush, backend=backend, profile=profile
-    )
+    results, _ = simulate_trace_batch_info(trace, configs, flush=flush, backend=backend)
     return results
-
-
-def _simulate_direct_mapped(
-    trace: Trace, config: CacheConfig, flush: bool, state=None
-) -> CacheStats:
-    """The loop engine.  ``state`` (``(tags, valid, dirty)`` lists, one
-    entry per set) makes the run resumable: the lists are mutated in
-    place, so feeding consecutive chunks with the same state tuple is
-    bit-identical to one pass over the concatenated trace (see
-    :class:`repro.cache.chunked.LoopCursor`)."""
-    line_size = config.line_size
-    offset_bits = config.offset_bits
-    index_bits = config.index_bits
-    index_mask = config.index_mask
-    tag_shift = offset_bits + index_bits
-    offset_mask = config.offset_mask
-    full_mask = config.full_line_mask
-    num_sets = config.num_sets
-
-    write_back = config.is_write_back
-    subblock_wb = config.subblock_dirty_writeback
-    miss_policy = config.write_miss
-    fetch_on_write = miss_policy is WriteMissPolicy.FETCH_ON_WRITE
-    write_validate = miss_policy is WriteMissPolicy.WRITE_VALIDATE
-    write_around = miss_policy is WriteMissPolicy.WRITE_AROUND
-    write_invalidate = miss_policy is WriteMissPolicy.WRITE_INVALIDATE
-    granule = config.valid_granularity
-
-    if state is None:
-        tags = [-1] * num_sets
-        valid = [0] * num_sets
-        dirty = [0] * num_sets
-    else:
-        tags, valid, dirty = state
-
-    # Local counters (bound once; this is the hot loop).
-    reads = writes = 0
-    read_accesses = write_accesses = 0
-    read_hits = read_misses = read_partial = 0
-    write_hits = write_misses = writes_to_dirty = 0
-    fetches_reads = fetches_partial = fetches_writes = 0
-    writebacks = writeback_bytes = writeback_dirty_bytes = 0
-    write_throughs = write_through_bytes = 0
-    victims = dirty_victims = dirty_victim_dirty_bytes = 0
-    validate_allocations = invalidations = 0
-
-    for address, size, kind in zip(trace.addresses, trace.sizes, trace.kinds):
-        if kind:
-            writes += 1
-        else:
-            reads += 1
-        # References are size-aligned, so a segment crosses a line only
-        # when the reference is wider than the line (8 B data, 4 B lines).
-        if size > line_size:
-            segments = range(address, address + size, line_size)
-            segment_size = line_size
-        else:
-            segments = (address,)
-            segment_size = size
-
-        for segment_address in segments:
-            offset = segment_address & offset_mask
-            segment_mask = ((1 << segment_size) - 1) << offset
-            set_index = (segment_address >> offset_bits) & index_mask
-            tag = segment_address >> tag_shift
-            resident_tag = tags[set_index]
-
-            if kind == 0:  # ---- load ------------------------------------
-                read_accesses += 1
-                if resident_tag == tag:
-                    if valid[set_index] & segment_mask == segment_mask:
-                        read_hits += 1
-                    else:
-                        read_partial += 1
-                        fetches_partial += 1
-                        valid[set_index] = full_mask
-                    continue
-                read_misses += 1
-                fetches_reads += 1
-                if resident_tag != -1:
-                    victims += 1
-                    dirty_mask = dirty[set_index]
-                    if dirty_mask:
-                        dirty_victims += 1
-                        dirty_byte_count = bin(dirty_mask).count("1")
-                        dirty_victim_dirty_bytes += dirty_byte_count
-                        writebacks += 1
-                        writeback_dirty_bytes += dirty_byte_count
-                        writeback_bytes += dirty_byte_count if subblock_wb else line_size
-                tags[set_index] = tag
-                valid[set_index] = full_mask
-                dirty[set_index] = 0
-                continue
-
-            # ---- store ------------------------------------------------
-            write_accesses += 1
-            if resident_tag == tag:
-                write_hits += 1
-                if write_back:
-                    if dirty[set_index]:
-                        writes_to_dirty += 1
-                    dirty[set_index] |= segment_mask
-                else:
-                    write_throughs += 1
-                    write_through_bytes += segment_size
-                valid[set_index] |= segment_mask
-                continue
-
-            write_misses += 1
-            use_validate = write_validate and (
-                offset % granule == 0 and segment_size % granule == 0
-            )
-            if fetch_on_write or (write_validate and not use_validate):
-                fetches_writes += 1
-                if resident_tag != -1:
-                    victims += 1
-                    dirty_mask = dirty[set_index]
-                    if dirty_mask:
-                        dirty_victims += 1
-                        dirty_byte_count = bin(dirty_mask).count("1")
-                        dirty_victim_dirty_bytes += dirty_byte_count
-                        writebacks += 1
-                        writeback_dirty_bytes += dirty_byte_count
-                        writeback_bytes += dirty_byte_count if subblock_wb else line_size
-                tags[set_index] = tag
-                valid[set_index] = full_mask
-                if write_back:
-                    dirty[set_index] = segment_mask
-                else:
-                    dirty[set_index] = 0
-                    write_throughs += 1
-                    write_through_bytes += segment_size
-            elif use_validate:
-                validate_allocations += 1
-                if resident_tag != -1:
-                    victims += 1
-                    dirty_mask = dirty[set_index]
-                    if dirty_mask:
-                        dirty_victims += 1
-                        dirty_byte_count = bin(dirty_mask).count("1")
-                        dirty_victim_dirty_bytes += dirty_byte_count
-                        writebacks += 1
-                        writeback_dirty_bytes += dirty_byte_count
-                        writeback_bytes += dirty_byte_count if subblock_wb else line_size
-                tags[set_index] = tag
-                valid[set_index] = segment_mask
-                if write_back:
-                    dirty[set_index] = segment_mask
-                else:
-                    dirty[set_index] = 0
-                    write_throughs += 1
-                    write_through_bytes += segment_size
-            elif write_around:
-                write_throughs += 1
-                write_through_bytes += segment_size
-            else:  # write-invalidate
-                if resident_tag != -1:
-                    tags[set_index] = -1
-                    valid[set_index] = 0
-                    dirty[set_index] = 0
-                    invalidations += 1
-                write_throughs += 1
-                write_through_bytes += segment_size
-
-    stats = CacheStats(line_size=line_size)
-    stats.reads = reads
-    stats.writes = writes
-    stats.read_line_accesses = read_accesses
-    stats.write_line_accesses = write_accesses
-    stats.read_hits = read_hits
-    stats.read_misses = read_misses
-    stats.read_partial_misses = read_partial
-    stats.write_hits = write_hits
-    stats.write_misses = write_misses
-    stats.writes_to_dirty_lines = writes_to_dirty
-    stats.fetches = fetches_reads + fetches_partial + fetches_writes
-    stats.fetch_bytes = stats.fetches * line_size
-    stats.fetches_for_reads = fetches_reads
-    stats.fetches_for_partial_reads = fetches_partial
-    stats.fetches_for_writes = fetches_writes
-    stats.writebacks = writebacks
-    stats.writeback_bytes = writeback_bytes
-    stats.writeback_dirty_bytes = writeback_dirty_bytes
-    stats.write_throughs = write_throughs
-    stats.write_through_bytes = write_through_bytes
-    stats.victims = victims
-    stats.dirty_victims = dirty_victims
-    stats.dirty_victim_dirty_bytes = dirty_victim_dirty_bytes
-    stats.validate_allocations = validate_allocations
-    stats.invalidations = invalidations
-    stats.instructions = trace.instruction_count
-
-    if flush:
-        _flush_direct_mapped(stats, tags, dirty, config)
-    return stats
-
-
-def _flush_direct_mapped(stats: CacheStats, tags, dirty, config: CacheConfig) -> None:
-    """Flush-stop accounting over final loop-engine state, in set order."""
-    line_size = config.line_size
-    subblock_wb = config.subblock_dirty_writeback
-    for set_index in range(len(tags)):
-        if tags[set_index] == -1:
-            continue
-        stats.flushed_lines += 1
-        dirty_mask = dirty[set_index]
-        if dirty_mask:
-            stats.flushed_dirty_lines += 1
-            dirty_byte_count = bin(dirty_mask).count("1")
-            stats.flushed_dirty_bytes += dirty_byte_count
-            stats.flush_writeback_bytes += (
-                dirty_byte_count if subblock_wb else line_size
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """Vectorised direct-mapped, stats-only simulation — single runs and batches.
 
-Replaces the per-reference Python loop of
-:func:`repro.cache.fastsim._simulate_direct_mapped` with whole-trace numpy
-array passes.  The formulation (see ``docs/simulator_semantics.md``,
-"Vectorized kernel"):
+Replaces the reference :class:`repro.cache.cache.Cache`'s per-reference
+walk with whole-trace numpy array passes.  The formulation (see
+``docs/simulator_semantics.md``, "Vectorized kernel"):
 
 1. **Segment expansion** — references wider than a line are split into
    per-line segments vectorised (``np.repeat`` + within-group offsets),
@@ -47,8 +46,8 @@ Trace plans are cached across :func:`simulate_batch` calls in a small
 identity-keyed LRU (:data:`PLAN_CACHE_CAP` traces), so a worker batching
 several groups over one shared-memory trace pays for expansion once.
 
-Results are bit-identical to :class:`repro.cache.cache.Cache` and to the
-``fastsim`` loop — the differential suites in
+Results are bit-identical to :class:`repro.cache.cache.Cache` — the
+differential suites in
 ``tests/cache/test_vecsim.py`` and ``tests/cache/test_vecsim_batch.py``
 enforce this stat-for-stat across every policy combination, and
 per-stat equality between :func:`simulate_batch` and per-run
@@ -1026,10 +1025,11 @@ def _classify_write_invalidate(
 # ---------------------------------------------------------------------------
 # End-of-run cache state export (the chunk-resume support).
 #
-# The loop engine's entire mutable state is three per-set values — tag,
-# valid byte mask, dirty byte mask — and this kernel classifies
-# bit-identically to it, so exporting those three per resident set fully
-# captures "where the cache ended up".  The chunked cursors
+# A direct-mapped stats-only cache's entire mutable state is three
+# per-set values — tag, valid byte mask, dirty byte mask — and this
+# kernel classifies bit-identically to the reference ``Cache``, so
+# exporting those three per resident set fully captures "where the cache
+# ended up".  The chunked cursors
 # (:mod:`repro.cache.chunked`) rebuild that state as a synthetic prelude
 # trace in front of the next chunk and subtract the prelude's stats back
 # out, which is what makes resumable simulation exact.
@@ -1106,7 +1106,7 @@ def _export_state(stream: _SegmentStream, config: CacheConfig) -> CacheState:
     """Read the final (tag, valid, dirty) of every resident set out of
     the cached classification state.
 
-    Residency and masks follow the loop engine exactly: allocating
+    Residency and masks follow the reference ``Cache`` exactly: allocating
     policies leave every touched set resident with the last run's tag;
     write-validate valid masks are the run's OR-scan unless a partial
     read refetched the line (then full); write-back dirty masks are the

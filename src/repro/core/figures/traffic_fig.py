@@ -26,7 +26,7 @@ from repro.core.sweep import (
     DEFAULT_LINE_B,
     LINE_SIZES_B,
 )
-from repro.hierarchy.system import SystemConfig
+from repro.hierarchy.system import HierarchyConfig, LevelConfig
 from repro.trace.corpus import BENCHMARK_NAMES
 
 
@@ -46,13 +46,19 @@ def _traffic_configs(size_kb: int, line_size: int):
     )
 
 
+def _system_spec(name: str, config: CacheConfig, scale: float):
+    """The system-kind spec of a one-level hierarchy over ``config``."""
+    hierarchy = HierarchyConfig(levels=(LevelConfig(cache=config),))
+    return experiment_key("system", name, hierarchy, scale=scale)
+
+
 def _traffic_specs(size_kb: int, line_size: int, scale: float):
     """The per-workload system-kind spec pairs behind one x value."""
     wb_config, wt_config = _traffic_configs(size_kb, line_size)
     return [
         (
-            experiment_key("system", name, SystemConfig(cache=wb_config), scale=scale),
-            experiment_key("system", name, SystemConfig(cache=wt_config), scale=scale),
+            _system_spec(name, wb_config, scale),
+            _system_spec(name, wt_config, scale),
         )
         for name in BENCHMARK_NAMES
     ]

@@ -29,8 +29,6 @@ flush)`` travel to a worker as one task, so the batched kernel shares
 the trace-side passes across the whole configuration grid.  Results stay
 per-spec — each is individually content-addressed, persisted and
 reported through the same :class:`RunEvent` path as an unbatched run.
-Set ``$REPRO_SIM_BATCH=0`` (or construct the pool with ``batch=False``)
-to force per-run dispatch when debugging.
 
 Failure semantics (see "Failure semantics" in ``docs/orchestration.md``):
 a failed task is retried with exponential backoff and deterministic
@@ -68,9 +66,6 @@ from repro.exec.store import ResultStore
 #: Environment variable setting the default worker count.
 ENV_JOBS = "REPRO_JOBS"
 
-#: Environment variable disabling batched dispatch ("0"/"false"/"off").
-ENV_BATCH = "REPRO_SIM_BATCH"
-
 #: Environment variable setting the default per-task retry budget.
 ENV_RETRIES = "REPRO_RETRIES"
 
@@ -83,11 +78,6 @@ DEFAULT_RETRIES = 2
 #: Base backoff delay (seconds) before a retry; doubles per attempt with
 #: deterministic jitter (see :func:`repro.exec.faults.retry_delay`).
 DEFAULT_BACKOFF = 0.05
-
-
-def batching_default() -> bool:
-    """Whether pools batch by default: on unless ``$REPRO_SIM_BATCH`` opts out."""
-    return os.environ.get(ENV_BATCH, "1").strip().lower() not in ("0", "false", "off")
 
 
 #: Process-wide override set by ``--jobs`` CLI flags (None = use $REPRO_JOBS).
@@ -491,7 +481,6 @@ class ExperimentPool:
         store: Optional[ResultStore] = None,
         jobs: int = 1,
         callback: Optional[Callable[[RunEvent], None]] = None,
-        batch: Optional[bool] = None,
         retries: Optional[int] = None,
         task_timeout: Optional[float] = None,
         backoff: Optional[float] = None,
@@ -500,7 +489,6 @@ class ExperimentPool:
         self.store = store
         self.jobs = max(1, jobs)
         self.callback = callback
-        self.batch = batching_default() if batch is None else bool(batch)
         self.retries = default_retries() if retries is None else max(0, retries)
         self.task_timeout = (
             default_task_timeout() if task_timeout is None else task_timeout
@@ -559,8 +547,6 @@ class ExperimentPool:
         more become batched tasks; a group of one gains nothing from the
         batch entry point, so it stays on the plain per-run path.
         """
-        if not self.batch:
-            return [], list(pending)
         groups: Dict[tuple, list] = {}
         singles = []
         for spec in pending:

@@ -18,8 +18,6 @@ the next-level components and the glue:
   :class:`repro.hierarchy.system.LevelStats` /
   :func:`repro.hierarchy.system.simulate_system` — the composed hierarchy
   as a registered experiment kind (config in, serializable stats out).
-- :func:`repro.hierarchy.system.SystemConfig` — compatibility alias for
-  the pre-refactor flat one-level config.
 - :class:`repro.hierarchy.system.CacheLevelBackend` — adapter that lets a
   :class:`~repro.cache.cache.Cache` serve as the next level below another
   cache; :class:`repro.hierarchy.system.MeteringBackend` counts any
@@ -36,7 +34,6 @@ from repro.hierarchy.system import (
     LevelConfig,
     LevelStats,
     MeteringBackend,
-    SystemConfig,
     SystemStats,
     simulate_system,
 )
@@ -50,7 +47,6 @@ __all__ = [
     "LevelConfig",
     "LevelStats",
     "MeteringBackend",
-    "SystemConfig",
     "SystemStats",
     "simulate_system",
 ]

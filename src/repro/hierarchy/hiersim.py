@@ -33,13 +33,13 @@ levels keep their speed (mirroring the decline contract
 *final* level outside the vector kernel's shape still gets a derived
 meter over :func:`repro.cache.fastsim.simulate_trace`.
 
-``backend`` / ``$REPRO_SIM_BACKEND`` follow the fastsim contract:
-``auto`` vectorizes what it can, ``vector`` raises on a declining
-level, ``loop`` (and ``reference``) always composes.  Top-level trace
-plans go through vecsim's cross-call LRU, so a sweep of hierarchies
-over one trace pays the trace-side passes once per line size — the
-pool's batched ``system`` dispatch (``hier_vector_runs`` telemetry)
-leans on this.
+``backend`` follows the fastsim contract: ``auto`` vectorizes what it
+can, ``vector`` raises on a declining level, and ``reference`` composes
+the whole graph (the oracle the vectorized route is tested against).
+Top-level trace plans go through vecsim's cross-call LRU, so a sweep of
+hierarchies over one trace pays the trace-side passes once per line
+size — the pool's batched ``system`` dispatch (``hier_vector_runs``
+telemetry) leans on this.
 
 See docs/hierarchy.md ("Vectorized hierarchy kernel") for the
 materialization rules and the decline matrix.
@@ -86,12 +86,6 @@ def _bare_level(level: LevelConfig) -> bool:
         and level.miss_entries == 0
         and level.stream_buffers == 0
     )
-
-
-def _resolve_backend(backend) -> str:
-    """fastsim's backend contract; ``reference`` means the composed path."""
-    choice = fastsim._resolve_backend(backend)
-    return "loop" if choice == "reference" else choice
 
 
 def _derived_meter(stats, line_size: int) -> TrafficMeter:
@@ -275,7 +269,7 @@ def _simulate(
 ) -> Tuple[SystemStats, int]:
     """One hierarchy run; returns ``(stats, vectorized_level_count)``."""
     levels = config.levels
-    if choice == "loop":
+    if choice == "reference":
         return _composed(trace, levels, flush), 0
 
     level_results: List[LevelStats] = []
@@ -334,12 +328,13 @@ def simulate_hierarchy(
     """Simulate a hierarchy graph, vectorized level-by-level where possible.
 
     Bit-identical to running the composed :class:`CacheSystem` for every
-    config and backend choice; ``backend`` (default:
-    ``$REPRO_SIM_BACKEND`` or ``auto``) only picks the route.  ``vector``
-    raises :class:`ConfigurationError` if any level declines; ``loop``
-    and ``reference`` always compose.
+    config and backend choice; ``backend`` (default ``auto``) only picks
+    the route.  ``vector`` raises :class:`ConfigurationError` if any level
+    declines; ``reference`` always composes.
     """
-    stats, _ = _simulate(trace, _as_hierarchy(config), flush, _resolve_backend(backend))
+    stats, _ = _simulate(
+        trace, _as_hierarchy(config), flush, fastsim._resolve_backend(backend)
+    )
     return stats
 
 
@@ -378,7 +373,7 @@ def simulate_hierarchy_batch_info(
     runs whose first level went through the vector kernel — the pool
     folds it into :class:`~repro.exec.pool.PoolTelemetry`.
     """
-    choice = _resolve_backend(backend)
+    choice = fastsim._resolve_backend(backend)
     results: List[SystemStats] = []
     vector_runs = 0
     for config in configs:

@@ -13,13 +13,11 @@ around its exit and metering every inter-level boundary with a
 :class:`SystemStats` packages the whole composition — per-level cache and
 structure counters plus per-boundary meters — as one serializable result
 the experiment layer can persist (the ``system`` experiment kind; see
-:mod:`repro.exec.experiments`).  The legacy one-level accessors (``l1``,
-``memory``, ``write_cache``, ``victim_cache``) remain as properties, and
-:func:`SystemConfig` remains as a compatibility alias lowering to a
-one-level hierarchy, so pre-refactor call sites keep working unchanged.
+:mod:`repro.exec.experiments`).  Its ``l1`` and ``memory`` properties
+name the two ends the paper's Section 5 measurements read: level 0's
+cache counters and the last boundary, which is main memory.
 
-See ``docs/hierarchy.md`` for the graph model, structure semantics and
-compatibility notes.
+See ``docs/hierarchy.md`` for the graph model and structure semantics.
 """
 
 from dataclasses import dataclass, field
@@ -120,11 +118,6 @@ class LevelConfig:
         return cls(**data)
 
 
-#: Legacy flat :func:`SystemConfig` payload keys, still accepted on the
-#: wire so pre-refactor specs keep round-tripping.
-_LEGACY_CONFIG_KEYS = {"cache", "write_cache_entries", "victim_entries"}
-
-
 @dataclass(frozen=True)
 class HierarchyConfig:
     """Immutable description of one composed-hierarchy experiment.
@@ -155,58 +148,16 @@ class HierarchyConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "HierarchyConfig":
-        """Inverse of :meth:`to_dict`; unknown keys raise.
-
-        Also accepts the legacy flat :func:`SystemConfig` payload shape
-        (``cache``/``write_cache_entries``/``victim_entries``), lowering
-        it to a one-level hierarchy, so pre-refactor wire specs and
-        stored spec records keep loading.
-        """
-        if "levels" in payload:
-            unknown = set(payload) - {"levels"}
-            if unknown:
-                raise ValueError(
-                    f"unknown HierarchyConfig fields: {sorted(unknown)}"
-                )
-            return cls(
-                levels=tuple(
-                    LevelConfig.from_dict(level) for level in payload["levels"]
-                )
-            )
-        unknown = set(payload) - _LEGACY_CONFIG_KEYS
+        """Inverse of :meth:`to_dict`; ``levels`` is required and unknown
+        keys raise :class:`ValueError`."""
+        if "levels" not in payload:
+            raise ValueError("a HierarchyConfig payload needs a 'levels' list")
+        unknown = set(payload) - {"levels"}
         if unknown:
-            raise ValueError(f"unknown SystemConfig fields: {sorted(unknown)}")
-        data = dict(payload)
-        if "cache" in data:
-            data["cache"] = CacheConfig.from_dict(data["cache"])
-        return cls(levels=(LevelConfig(**data),))
-
-
-def SystemConfig(
-    cache: Optional[CacheConfig] = None,
-    write_cache_entries: int = 0,
-    victim_entries: int = 0,
-) -> HierarchyConfig:
-    """Compatibility alias: the pre-refactor flat system config.
-
-    Lowers to a one-level :class:`HierarchyConfig`; identity, labels and
-    simulation results of the lowered config are bit-identical to the
-    composition the flat ``SystemConfig`` used to describe.
-    """
-    return HierarchyConfig(
-        levels=(
-            LevelConfig(
-                cache=cache if cache is not None else CacheConfig(),
-                write_cache_entries=write_cache_entries,
-                victim_entries=victim_entries,
-            ),
+            raise ValueError(f"unknown HierarchyConfig fields: {sorted(unknown)}")
+        return cls(
+            levels=tuple(LevelConfig.from_dict(level) for level in payload["levels"])
         )
-    )
-
-
-# Decode hook so historical ``SystemConfig.from_dict(...)`` call sites
-# keep working; instances are HierarchyConfigs, which own serialization.
-SystemConfig.from_dict = HierarchyConfig.from_dict
 
 
 @dataclass
@@ -278,7 +229,7 @@ class SystemStats:
     levels: List[LevelStats] = field(default_factory=lambda: [LevelStats()])
     boundaries: List[TrafficMeter] = field(default_factory=lambda: [TrafficMeter()])
 
-    # -- legacy one-level accessors ------------------------------------------
+    # -- the two ends Section 5 measures -------------------------------------
 
     @property
     def l1(self) -> CacheStats:
@@ -289,22 +240,6 @@ class SystemStats:
     def memory(self) -> TrafficMeter:
         """Traffic that actually reached main memory."""
         return self.boundaries[-1]
-
-    @property
-    def write_cache(self) -> Optional[WriteCacheStats]:
-        return self.levels[0].write_cache
-
-    @property
-    def victim_cache(self) -> Optional[VictimCacheStats]:
-        return self.levels[0].victim_cache
-
-    @property
-    def miss_cache(self) -> Optional[MissCacheStats]:
-        return self.levels[0].miss_cache
-
-    @property
-    def stream_buffer(self) -> Optional[StreamBufferStats]:
-        return self.levels[0].stream_buffer
 
     # -- the four back-side traffic components (Section 5) -------------------
 
@@ -552,33 +487,8 @@ def _as_hierarchy(config) -> HierarchyConfig:
 class CacheSystem:
     """A built cache hierarchy: levels, boundary meters and main memory."""
 
-    def __init__(
-        self,
-        config=None,
-        write_cache_entries: int = 0,
-        memory: Optional[MainMemory] = None,
-        victim_entries: int = 0,
-    ) -> None:
-        if config is None:
-            config = CacheConfig()
-        if write_cache_entries or victim_entries:
-            # Legacy flat signature: one level plus structure entry counts.
-            if isinstance(config, HierarchyConfig):
-                raise ValueError(
-                    "pass structure entry counts inside LevelConfig when "
-                    "constructing from a HierarchyConfig"
-                )
-            config = HierarchyConfig(
-                levels=(
-                    LevelConfig(
-                        cache=config,
-                        write_cache_entries=write_cache_entries,
-                        victim_entries=victim_entries,
-                    ),
-                )
-            )
-        else:
-            config = _as_hierarchy(config)
+    def __init__(self, config=None, memory: Optional[MainMemory] = None) -> None:
+        config = _as_hierarchy(CacheConfig() if config is None else config)
         self.config = config
         store_data = config.levels[0].cache.store_data
         self.memory = (
@@ -602,19 +512,9 @@ class CacheSystem:
         meters.reverse()
         self._boundary_meters = meters
 
-    # -- legacy one-level accessors ------------------------------------------
-
     @property
     def l1(self) -> Cache:
         return self.levels[0].cache
-
-    @property
-    def write_cache(self) -> Optional[WriteCache]:
-        return self.levels[0].write_cache
-
-    @property
-    def victim_backend(self) -> Optional[VictimCacheBackend]:
-        return self.levels[0].victim_backend
 
     def run(self, trace: Trace, flush: bool = True) -> CacheStats:
         """Drive ``trace`` through the hierarchy; optionally flush at the end.

@@ -109,7 +109,7 @@ class TestChunkedCursors:
     @settings(**COMMON_SETTINGS)
     def test_every_backend_matches_one_shot(self, trace, config, chunk_refs, flush):
         expected = stats_dict(simulate_trace(trace, config, flush=flush))
-        for backend in ("auto", "loop", "reference"):
+        for backend in ("auto", "reference"):
             got = simulate_trace_chunked(
                 split(trace, chunk_refs), config, flush=flush, backend=backend
             )

@@ -1,11 +1,11 @@
-"""Property-based differential suite: all four engines agree, always.
+"""Property-based differential suite: every engine agrees, always.
 
 Hypothesis drives seeded random ``CacheConfig``/trace pairs — every
 cache size and line size (including the >64 B multi-lane widths), all
 four write-miss policies under both hit policies, sub-block write-backs,
 varying valid granularities, flush on and off — and asserts the
-reference simulator, the direct-mapped Python loop, the vectorised
-kernel and the batched kernel produce bit-identical statistics.
+reference simulator, the vectorised kernel, the batched kernel and the
+ladder profiler produce bit-identical statistics.
 
 A failing example shrinks to a :class:`DiffCase` whose ``repr`` is a
 runnable reproduction: it rebuilds the exact trace via
@@ -143,7 +143,6 @@ def run_all_engines(trace: Trace, config: CacheConfig, flush: bool):
     """Stats dict per engine, keyed by engine name."""
     return {
         "reference": simulate_trace(trace, config, flush=flush, backend="reference"),
-        "loop": simulate_trace(trace, config, flush=flush, backend="loop"),
         "vector": simulate_trace(trace, config, flush=flush, backend="vector"),
         "batch": simulate_trace_batch(trace, [config], flush=flush)[0],
         # A one-config grid is a one-level ladder: the profiler still
@@ -155,7 +154,7 @@ def run_all_engines(trace: Trace, config: CacheConfig, flush: bool):
 
 @given(case=cases())
 @settings(**COMMON_SETTINGS)
-def test_reference_loop_vector_batch_agree(case):
+def test_reference_vector_batch_agree(case):
     engines = run_all_engines(case.trace, case.config, case.flush)
     expected = engines.pop("reference").to_dict()
     for engine, stats in engines.items():

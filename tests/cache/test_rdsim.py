@@ -8,9 +8,9 @@ multi-lane >64 B widths), flush on and off.  These sweeps are what let
 the profiler share ``SIMULATOR_VERSION`` with the other engines.
 
 The dispatch tests pin the routing rules: size-only sub-grids collapse
-through the profiler only under the ``auto`` backend, the
-``$REPRO_SIM_PROFILE`` / ``profile=`` opt-outs restore the pure batched
-path, and the pool's telemetry reports how many runs the profiler served.
+through the profiler only under the ``auto`` backend, a pinned
+``vector`` backend keeps the pure batched path, and the pool's telemetry
+reports how many runs the profiler served.
 """
 
 import pytest
@@ -18,16 +18,10 @@ from test_vecsim import COMBOS, assert_stats_equal, seeded_trace
 
 from repro.cache import rdsim, vecsim
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import (
-    ENV_PROFILE,
-    profiling_default,
-    simulate_trace,
-    simulate_trace_batch,
-    simulate_trace_batch_info,
-)
+from repro.cache.fastsim import simulate_trace, simulate_trace_batch_info
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.core.runner import experiment_key
-from repro.exec.pool import ENV_BATCH, ExperimentPool
+from repro.exec.pool import ExperimentPool
 from repro.trace.corpus import load
 from repro.trace.trace import Trace
 
@@ -134,9 +128,7 @@ class TestDifferentialLadder:
         for name in ("ccom", "grr"):
             trace = load(name, scale=0.05, seed=1991)
             profiled = rdsim.simulate_ladder(trace, configs, flush=True)
-            batched = simulate_trace_batch(
-                trace, configs, flush=True, profile=False
-            )
+            batched = vecsim.simulate_batch(trace, configs, True)
             for config, a, b in zip(configs, profiled, batched):
                 assert_stats_equal(a, b, f"{name}:{config.describe()}")
 
@@ -217,38 +209,7 @@ def profiled_grid_specs(workload="ccom"):
 
 
 class TestDispatchToggles:
-    """REPRO_SIM_BATCH x REPRO_SIM_PROFILE: same stats, different routes."""
-
-    def test_profiling_default_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(ENV_PROFILE, raising=False)
-        assert profiling_default()
-        for value in ("0", "false", "off"):
-            monkeypatch.setenv(ENV_PROFILE, value)
-            assert not profiling_default()
-        monkeypatch.setenv(ENV_PROFILE, "1")
-        assert profiling_default()
-
-    def test_env_var_disables_profiling(self, monkeypatch):
-        trace = seeded_trace(71, 300)
-        configs = ladder_configs(16)
-        monkeypatch.setenv(ENV_PROFILE, "0")
-        results, info = simulate_trace_batch_info(trace, configs, flush=True)
-        assert info.profiled_runs == 0 and info.profile_passes == 0
-        monkeypatch.delenv(ENV_PROFILE, raising=False)
-        profiled, info = simulate_trace_batch_info(trace, configs, flush=True)
-        assert info.profiled_runs == len(configs)
-        for a, b in zip(results, profiled):
-            assert_stats_equal(a, b)
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        trace = seeded_trace(72, 200)
-        configs = ladder_configs(16)
-        monkeypatch.setenv(ENV_PROFILE, "0")
-        _, info = simulate_trace_batch_info(trace, configs, flush=True, profile=True)
-        assert info.profiled_runs == len(configs)
-        monkeypatch.delenv(ENV_PROFILE, raising=False)
-        _, info = simulate_trace_batch_info(trace, configs, flush=True, profile=False)
-        assert info.profiled_runs == 0
+    """Route choices: same stats, different routes."""
 
     def test_pinned_vector_backend_bypasses_profiler(self):
         trace = seeded_trace(73, 200)
@@ -273,38 +234,24 @@ class TestDispatchToggles:
         _, info = simulate_trace_batch_info(trace, configs, flush=True)
         assert info.profiled_runs == 0 and info.profile_passes == 0
 
-    def test_pool_toggle_matrix(self, monkeypatch):
-        # Three dispatch routes: profiled batches (default), plain
-        # batches (profile off) and per-run singles (batch off) must
-        # produce identical results and tell the truth in telemetry.
+    def test_pool_default_routing_matches_per_spec_reference(self):
+        # The route follows from the inputs alone: a pool group of two or
+        # more specs batches, and two or more sizes at one line size
+        # collapse through one profiling pass.  Every spec must still
+        # equal its own reference run, and telemetry must say so.
         specs = profiled_grid_specs()
-
-        monkeypatch.delenv(ENV_BATCH, raising=False)
-        monkeypatch.delenv(ENV_PROFILE, raising=False)
-        profiled_pool = ExperimentPool(store=None)
-        expected = profiled_pool.run_many(specs)
-        telemetry = profiled_pool.telemetry
+        pool = ExperimentPool(store=None)
+        results = pool.run_many(specs)
+        telemetry = pool.telemetry
         assert telemetry.batches == 1
         assert telemetry.profiled_runs == len(specs)
         assert telemetry.profile_passes == 1
-
-        monkeypatch.setenv(ENV_PROFILE, "0")
-        batch_pool = ExperimentPool(store=None)
-        batched = batch_pool.run_many(specs)
-        assert batch_pool.telemetry.batches == 1
-        assert batch_pool.telemetry.profiled_runs == 0
-        assert batch_pool.telemetry.profile_passes == 0
-
-        monkeypatch.setenv(ENV_BATCH, "0")
-        monkeypatch.delenv(ENV_PROFILE, raising=False)
-        serial_pool = ExperimentPool(store=None)
-        serial = serial_pool.run_many(specs)
-        assert serial_pool.telemetry.batches == 0
-        assert serial_pool.telemetry.profiled_runs == 0
-
         for spec in specs:
-            assert batched[spec].to_dict() == expected[spec].to_dict()
-            assert serial[spec].to_dict() == expected[spec].to_dict()
+            trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
+            expected = simulate_trace(
+                trace, spec.config, flush=spec.flush, backend="reference"
+            )
+            assert results[spec].to_dict() == expected.to_dict(), spec.describe()
 
     def test_telemetry_line_reports_profiler_counters(self):
         pool = ExperimentPool(store=None)

@@ -1,9 +1,9 @@
-"""The vectorised kernel must be bit-identical to the loop and the Cache.
+"""The vectorised kernel must be bit-identical to the reference Cache.
 
 The differential sweeps here are the contract that lets ``vecsim`` share
-``SIMULATOR_VERSION`` with the loop engine: every statistic, for every
-policy combination the kernel claims to support, across random traces and
-real workload prefixes.
+``SIMULATOR_VERSION`` with the reference simulator: every statistic, for
+every policy combination the kernel claims to support, across random
+traces and real workload prefixes.
 """
 
 import dataclasses
@@ -16,11 +16,7 @@ from hypothesis import strategies as st
 from repro.cache import vecsim
 from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import (
-    ENV_BACKEND,
-    _simulate_direct_mapped,
-    simulate_trace,
-)
+from repro.cache.fastsim import simulate_trace
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.common.errors import ConfigurationError
 from repro.trace.events import READ, WRITE, MemRef
@@ -71,7 +67,7 @@ def vec_stats(trace, config, flush=True):
 
 
 class TestDifferentialGrid:
-    """Randomized sweep: vecsim == loop == reference, stat for stat."""
+    """Randomized sweep: vecsim == reference, stat for stat."""
 
     @pytest.mark.parametrize("hit,miss", COMBOS)
     @pytest.mark.parametrize("line_size", [4, 16, 64])
@@ -94,11 +90,6 @@ class TestDifferentialGrid:
                     )
                     assert_stats_equal(
                         vec_stats(trace, config, flush), reference, context
-                    )
-                    assert_stats_equal(
-                        _simulate_direct_mapped(trace, config, flush),
-                        reference,
-                        context,
                     )
 
     @pytest.mark.parametrize("granularity", [1, 4, 8])
@@ -149,7 +140,7 @@ class TestCorpusEquivalence:
             trace = small_corpus[name][:6000]
             assert_stats_equal(
                 vec_stats(trace, config),
-                _simulate_direct_mapped(trace, config, True),
+                simulate_trace(trace, config, backend="reference"),
                 f"{name} {miss}",
             )
 
@@ -162,7 +153,7 @@ class TestCorpusEquivalence:
                 )
                 assert_stats_equal(
                     vec_stats(trace, config),
-                    _simulate_direct_mapped(trace, config, True),
+                    simulate_trace(trace, config, backend="reference"),
                     f"size={size} line={line_size}",
                 )
 
@@ -223,7 +214,7 @@ class TestWideLines:
                 )
                 assert_stats_equal(
                     vec_stats(trace, config, flush),
-                    _simulate_direct_mapped(trace, config, flush),
+                    simulate_trace(trace, config, flush=flush, backend="reference"),
                     f"{hit}/{miss} line={line_size} sub={subblock} flush={flush}",
                 )
 
@@ -261,31 +252,21 @@ class TestBackendDispatch:
         config = CacheConfig(size=512, line_size=16)
         results = {
             backend: simulate_trace(trace, config, backend=backend)
-            for backend in ("auto", "vector", "loop", "reference")
+            for backend in ("auto", "vector", "reference")
         }
         for backend, stats in results.items():
             assert_stats_equal(stats, results["auto"], backend)
 
-    def test_env_var_selects_backend(self, monkeypatch):
-        trace = seeded_trace(43, 100)
-        config = CacheConfig(size=256, line_size=16)
-        expected = dataclasses.asdict(simulate_trace(trace, config))
-        for backend in ("vector", "loop", "reference"):
-            monkeypatch.setenv(ENV_BACKEND, backend)
-            assert dataclasses.asdict(simulate_trace(trace, config)) == expected
-
-    def test_unknown_backend_rejected(self, monkeypatch):
+    def test_unknown_backend_rejected(self):
         trace = seeded_trace(44, 10)
         config = CacheConfig(size=256, line_size=16)
-        with pytest.raises(ConfigurationError):
-            simulate_trace(trace, config, backend="bogus")
-        monkeypatch.setenv(ENV_BACKEND, "turbo")
-        with pytest.raises(ConfigurationError):
-            simulate_trace(trace, config)
+        for backend in ("bogus", "loop"):
+            with pytest.raises(ConfigurationError):
+                simulate_trace(trace, config, backend=backend)
 
     def test_vector_handles_wide_lines(self):
-        # 128 B lines used to fall back to the loop; the multi-lane masks
-        # now keep them on the vector kernel, bit-identically.
+        # 128 B lines exceed one uint64 lane; the multi-lane masks keep
+        # them on the vector kernel, bit-identically.
         trace = seeded_trace(45, 50)
         config = CacheConfig(size=8192, line_size=128)
         assert_stats_equal(
@@ -296,9 +277,8 @@ class TestBackendDispatch:
     def test_pinned_backend_refuses_associative_configs(self):
         trace = seeded_trace(46, 50)
         config = CacheConfig(size=2048, line_size=16, associativity=4)
-        for backend in ("vector", "loop"):
-            with pytest.raises(ConfigurationError):
-                simulate_trace(trace, config, backend=backend)
+        with pytest.raises(ConfigurationError):
+            simulate_trace(trace, config, backend="vector")
         assert_stats_equal(
             simulate_trace(trace, config),
             simulate_trace(trace, config, backend="reference"),

@@ -152,7 +152,7 @@ class TestFrontEnd:
         for config, stats in zip(configs, results):
             assert_stats_equal(stats, simulate_trace(trace, config), config.name)
 
-    @pytest.mark.parametrize("backend", ["loop", "reference"])
+    @pytest.mark.parametrize("backend", ["reference"])
     def test_pinned_per_run_backends(self, backend):
         trace = seeded_trace(82, 200)
         configs = grid_configs((512,), (16,))

@@ -1,11 +1,11 @@
 """Batched pool dispatch: grouping, fallback, identity, telemetry.
 
-The pool may ship a group of same-trace cache specs to a worker as one
-batched task; these tests pin the contract: every spec resolves to
-exactly what unbatched execution produces (bit for bit, serial or
-parallel), results are still individually persisted, unsupported and
-foreign-kind specs ride along untouched, and the telemetry counters say
-how much batching actually engaged.
+The pool ships each group of two or more same-trace cache specs to a
+worker as one batched task; these tests pin the contract: every spec
+resolves to exactly what a per-spec run of its kind's runner produces
+(bit for bit, serial or parallel), results are still individually
+persisted, unsupported and foreign-kind specs ride along untouched, and
+the telemetry counters say how much batching actually engaged.
 """
 
 import pytest
@@ -13,9 +13,11 @@ import pytest
 from repro.buffers.write_buffer import WriteBufferConfig
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
+from repro.exec.experiments import get_kind
 from repro.exec.keys import ExperimentSpec, RunKey
-from repro.exec.pool import ENV_BATCH, ExperimentPool, batching_default
+from repro.exec.pool import ExperimentPool
 from repro.exec.store import ResultStore
+from repro.trace.corpus import load
 
 SCALE = 0.05
 SEED = 1991
@@ -63,19 +65,20 @@ def mixed_batch():
 
 @pytest.fixture(scope="module")
 def unbatched_expected():
-    """Ground truth: the same batch resolved strictly per-run."""
-    batch = mixed_batch()
-    pool = ExperimentPool(store=None, jobs=1, batch=False)
-    results = pool.run_many(batch)
-    assert pool.telemetry.batches == 0
-    assert pool.telemetry.batched_runs == 0
-    return {spec: stats.to_dict() for spec, stats in results.items()}
+    """Ground truth: each spec run alone through its kind's runner
+    (``simulate_trace`` for the cache kind), outside any pool."""
+    return {
+        spec: get_kind(spec.kind)
+        .runner(spec, load(spec.workload, scale=spec.scale, seed=spec.seed))
+        .to_dict()
+        for spec in mixed_batch()
+    }
 
 
 class TestMixedBatch:
     def test_serial_batched_bit_identical(self, unbatched_expected):
         batch = mixed_batch()
-        pool = ExperimentPool(store=None, jobs=1, batch=True)
+        pool = ExperimentPool(store=None, jobs=1)
         results = pool.run_many(batch)
         for spec in batch:
             assert results[spec].to_dict() == unbatched_expected[spec], spec.describe()
@@ -89,9 +92,7 @@ class TestMixedBatch:
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_parallel_batched_bit_identical(self, unbatched_expected, tmp_path, jobs):
         batch = mixed_batch()
-        pool = ExperimentPool(
-            store=ResultStore(tmp_path / f"store-{jobs}"), jobs=jobs, batch=True
-        )
+        pool = ExperimentPool(store=ResultStore(tmp_path / f"store-{jobs}"), jobs=jobs)
         results = pool.run_many(batch)
         for spec in batch:
             assert results[spec].to_dict() == unbatched_expected[spec], spec.describe()
@@ -100,12 +101,12 @@ class TestMixedBatch:
     def test_warm_store_rerun_computes_zero(self, tmp_path):
         batch = mixed_batch()
         store = ResultStore(tmp_path / "store")
-        cold = ExperimentPool(store=store, jobs=2, batch=True)
+        cold = ExperimentPool(store=store, jobs=2)
         expected = cold.run_many(batch)
         assert cold.telemetry.computed == len(batch)
         assert cold.telemetry.batched_runs > 0
 
-        warm = ExperimentPool(store=store, jobs=2, batch=True)
+        warm = ExperimentPool(store=store, jobs=2)
         results = warm.run_many(batch)
         assert warm.telemetry.computed == 0
         assert warm.telemetry.batches == 0
@@ -116,42 +117,22 @@ class TestMixedBatch:
     def test_batched_results_individually_persisted(self, tmp_path):
         batch = cache_grid("ccom")
         store = ResultStore(tmp_path / "store")
-        results = ExperimentPool(store=store, jobs=1, batch=True).run_many(batch)
+        results = ExperimentPool(store=store, jobs=1).run_many(batch)
         for spec in batch:
             assert store.get(spec).to_dict() == results[spec].to_dict()
 
     def test_singleton_groups_stay_per_run(self):
         batch = cache_grid("ccom", sizes=(1024,)) + cache_grid("yacc", sizes=(2048,))
-        pool = ExperimentPool(store=None, jobs=1, batch=True)
+        pool = ExperimentPool(store=None, jobs=1)
         pool.run_many(batch)
         assert pool.telemetry.batches == 0
         assert pool.telemetry.batched_runs == 0
         assert pool.telemetry.computed == 2
 
 
-class TestBatchingToggle:
-    def test_env_var_disables_batching(self, monkeypatch):
-        monkeypatch.setenv(ENV_BATCH, "0")
-        assert not batching_default()
-        pool = ExperimentPool(store=None, jobs=1)
-        pool.run_many(cache_grid("ccom"))
-        assert pool.telemetry.batches == 0
-
-    def test_env_var_default_is_on(self, monkeypatch):
-        monkeypatch.delenv(ENV_BATCH, raising=False)
-        assert batching_default()
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_BATCH, "0")
-        pool = ExperimentPool(store=None, jobs=1, batch=True)
-        pool.run_many(cache_grid("ccom"))
-        assert pool.telemetry.batches == 1
-        assert pool.telemetry.batched_runs == 3
-
-
 class TestTelemetryLine:
     def test_line_includes_batch_counters(self):
-        pool = ExperimentPool(store=None, jobs=1, batch=True)
+        pool = ExperimentPool(store=None, jobs=1)
         pool.run_many(cache_grid("ccom"))
         line = pool.telemetry.line()
         assert "batches=1" in line

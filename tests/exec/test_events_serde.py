@@ -19,7 +19,7 @@ from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.exec.keys import ExperimentSpec
 from repro.exec.pool import PoolTelemetry, RunEvent
-from repro.hierarchy.system import HierarchyConfig, LevelConfig, SystemConfig
+from repro.hierarchy.system import HierarchyConfig, LevelConfig
 
 SPECS = [
     ExperimentSpec(
@@ -56,7 +56,9 @@ SPECS = [
         "linpack",
         0.1,
         1991,
-        SystemConfig(cache=CacheConfig(size=1024), write_cache_entries=4),
+        HierarchyConfig(
+            levels=(LevelConfig(cache=CacheConfig(size=1024), write_cache_entries=4),)
+        ),
     ),
     ExperimentSpec(
         "system",

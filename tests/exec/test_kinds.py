@@ -26,7 +26,7 @@ from repro.exec.experiments import (
 from repro.exec.keys import ExperimentSpec, RunKey
 from repro.exec.pool import ExperimentPool
 from repro.exec.store import ResultStore
-from repro.hierarchy.system import HierarchyConfig, LevelConfig, SystemConfig
+from repro.hierarchy.system import HierarchyConfig, LevelConfig
 
 SCALE = 0.05
 SEED = 1991
@@ -56,21 +56,29 @@ def mixed_batch():
             VictimBufferConfig(cache=CacheConfig(size=1024, line_size=16)),
         ),
         ExperimentSpec(
-            "system", "ccom", SCALE, SEED, SystemConfig(cache=CacheConfig(size=4096))
+            "system",
+            "ccom",
+            SCALE,
+            SEED,
+            HierarchyConfig(levels=(LevelConfig(cache=CacheConfig(size=4096)),)),
         ),
         ExperimentSpec(
             "system",
             "yacc",
             SCALE,
             SEED,
-            SystemConfig(cache=WRITE_THROUGH, write_cache_entries=5),
+            HierarchyConfig(
+                levels=(LevelConfig(cache=WRITE_THROUGH, write_cache_entries=5),)
+            ),
         ),
         ExperimentSpec(
             "system",
             "grr",
             SCALE,
             SEED,
-            SystemConfig(cache=CacheConfig(size=1024), victim_entries=4),
+            HierarchyConfig(
+                levels=(LevelConfig(cache=CacheConfig(size=1024), victim_entries=4),)
+            ),
         ),
         # Two-level hierarchy graphs with every attachable structure:
         # these shapes only exist post-refactor, so they prove the full

@@ -143,13 +143,13 @@ class TestMixedKinds:
         """One record each of cache, write_cache and system kind."""
         from repro.buffers.write_cache import WriteCacheStats
         from repro.hierarchy.memory import TrafficMeter
-        from repro.hierarchy.system import LevelStats, SystemConfig, SystemStats
+        from repro.hierarchy.system import HierarchyConfig, LevelStats, SystemStats
 
         cache_key = make_key(size="1KB")
         wc_key = ExperimentSpec(
             "write_cache", "ccom", 0.05, 1991, WriteCacheConfig(entries=5)
         )
-        sys_key = ExperimentSpec("system", "ccom", 0.05, 1991, SystemConfig())
+        sys_key = ExperimentSpec("system", "ccom", 0.05, 1991, HierarchyConfig())
         store.put(cache_key, make_stats())
         store.put(wc_key, WriteCacheStats(writes=50, merged=20))
         store.put(

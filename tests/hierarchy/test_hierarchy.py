@@ -28,7 +28,6 @@ from repro.common.errors import ConfigurationError
 from repro.hierarchy.system import (
     HierarchyConfig,
     LevelConfig,
-    SystemConfig,
     simulate_system,
 )
 from repro.trace.corpus import load
@@ -271,11 +270,8 @@ class TestGoldenSystem:
     def test_probe_order_chains_the_structures(self, golden_stats):
         # Victim first, then miss cache, then streams: each structure's
         # probes are exactly the previous one's misses.
-        victim, miss, stream = (
-            golden_stats.victim_cache,
-            golden_stats.miss_cache,
-            golden_stats.stream_buffer,
-        )
+        l1 = golden_stats.levels[0]
+        victim, miss, stream = l1.victim_cache, l1.miss_cache, l1.stream_buffer
         assert victim.fetch_probes == golden_stats.l1.fetches
         assert miss.fetch_probes == victim.fetch_probes - victim.hits
         assert stream.fetch_probes == miss.fetch_probes - miss.hits
@@ -309,26 +305,33 @@ class TestConfigSerde:
         with pytest.raises(ConfigurationError):
             HierarchyConfig(levels=())
 
-    def test_legacy_flat_payload_decodes(self):
-        # The pre-hierarchy wire shape for the ``system`` kind: one cache
-        # plus flat structure counts.  Old payloads must keep decoding.
-        legacy = {
-            "cache": CacheConfig(size=1024).to_dict(),
-            "write_cache_entries": 0,
-            "victim_entries": 4,
-        }
-        config = HierarchyConfig.from_dict(legacy)
-        assert len(config.levels) == 1
-        assert config.levels[0].victim_entries == 4
-        # And it is the same config the compat constructor builds, so
-        # its cache key (hence every store digest) is unchanged.
-        assert config == SystemConfig(CacheConfig(size=1024), victim_entries=4)
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {
+                "cache": CacheConfig(size=1024).to_dict(),
+                "write_cache_entries": 0,
+                "victim_entries": 4,
+            },
+            {},
+        ],
+        ids=["flat", "empty"],
+    )
+    def test_payload_without_levels_rejected(self, payload):
+        # Neither the pre-hierarchy flat shape nor an empty object may
+        # silently decode to some default hierarchy.
+        with pytest.raises(ValueError, match="levels"):
+            HierarchyConfig.from_dict(payload)
 
-    def test_system_config_alias(self):
-        config = SystemConfig(CacheConfig(size=2048), write_cache_entries=4)
-        assert isinstance(config, HierarchyConfig)
-        assert config.levels[0].write_cache_entries == 4
-        assert SystemConfig.from_dict(config.to_dict()) == config
+    def test_one_level_key_matches_flat_era(self):
+        # A one-level hierarchy keeps the identity string the flat-era
+        # system config hashed to, so stored results stay addressable.
+        config = HierarchyConfig(levels=(LevelConfig(cache=CacheConfig(size=2048)),))
+        assert config.cache_key() == (
+            "hier:lvl_wc=0:victims=0:miss=0:streams=0x4:size=2048:line=16:"
+            "assoc=1:hit=write-back:miss=fetch-on-write:vgran=4:subwb=0:"
+            "subfetch=0:repl=lru:data=0"
+        )
 
 
 class TestNaming:

@@ -89,7 +89,9 @@ def traces(draw):
 
 def assert_identical(config, trace, flush):
     """The vectorized route reproduces the composed route stat-for-stat."""
-    composed = hiersim.simulate_hierarchy(trace, config, flush=flush, backend="loop")
+    composed = hiersim.simulate_hierarchy(
+        trace, config, flush=flush, backend="reference"
+    )
     vectorized = hiersim.simulate_hierarchy(
         trace, config, flush=flush, backend="auto"
     )
@@ -110,7 +112,7 @@ class TestVectorizedMatchesComposed:
         # Fully supported graphs must not decline: the forced 'vector'
         # backend runs them and matches the composed path exactly.
         composed = hiersim.simulate_hierarchy(
-            trace, config, flush=flush, backend="loop"
+            trace, config, flush=flush, backend="reference"
         )
         vectorized = hiersim.simulate_hierarchy(
             trace, config, flush=flush, backend="vector"
@@ -225,10 +227,10 @@ class TestBatchInfo:
         )
         assert info["hier_vector_runs"] == 2
         for config, stats in zip([vectorizable, declining, vectorizable], results):
-            expected = hiersim.simulate_hierarchy(trace, config, backend="loop")
+            expected = hiersim.simulate_hierarchy(trace, config, backend="reference")
             assert stats.to_dict() == expected.to_dict(), config.name
 
-    def test_loop_backend_reports_zero_vector_runs(self):
+    def test_reference_backend_reports_zero_vector_runs(self):
         config = HierarchyConfig(
             levels=(
                 LevelConfig(cache=CacheConfig(size=512, line_size=16)),
@@ -236,6 +238,6 @@ class TestBatchInfo:
             )
         )
         _, info = hiersim.simulate_hierarchy_batch_info(
-            busy_trace(), [config], backend="loop"
+            busy_trace(), [config], backend="reference"
         )
         assert info["hier_vector_runs"] == 0

@@ -10,11 +10,17 @@ from repro.hierarchy.memory import MainMemory, TrafficMeter
 from repro.hierarchy.system import (
     CacheLevelBackend,
     CacheSystem,
+    HierarchyConfig,
+    LevelConfig,
     LevelStats,
-    SystemConfig,
     SystemStats,
     simulate_system,
 )
+
+
+def one_level(cache, **structures):
+    """A one-level hierarchy: ``cache`` plus its attached structures."""
+    return HierarchyConfig(levels=(LevelConfig(cache=cache, **structures),))
 
 
 class TestCacheSystem:
@@ -35,8 +41,12 @@ class TestCacheSystem:
         )
         plain.run(trace)
         buffered = CacheSystem(
-            CacheConfig(size=1024, line_size=16, write_hit=WriteHitPolicy.WRITE_THROUGH),
-            write_cache_entries=5,
+            one_level(
+                CacheConfig(
+                    size=1024, line_size=16, write_hit=WriteHitPolicy.WRITE_THROUGH
+                ),
+                write_cache_entries=5,
+            )
         )
         buffered.run(trace)
         assert (
@@ -48,7 +58,9 @@ class TestCacheSystem:
 
     def test_write_cache_requires_write_through(self):
         with pytest.raises(ValueError):
-            CacheSystem(CacheConfig(size=1024, line_size=16), write_cache_entries=4)
+            CacheSystem(
+                one_level(CacheConfig(size=1024, line_size=16), write_cache_entries=4)
+            )
 
     def test_write_back_system_flush_traffic(self, small_corpus):
         trace = small_corpus["yacc"][:5000]
@@ -144,11 +156,11 @@ class TestVictimComposition:
         config = CacheConfig(size=1024, line_size=16)
         plain = CacheSystem(config)
         plain.run(trace)
-        with_victims = CacheSystem(config, victim_entries=4)
+        with_victims = CacheSystem(one_level(config, victim_entries=4))
         with_victims.run(trace)
-        stats = with_victims.system_stats()
-        assert stats.victim_cache is not None
-        assert stats.victim_cache.hits > 0
+        victim_cache = with_victims.system_stats().levels[0].victim_cache
+        assert victim_cache is not None
+        assert victim_cache.hits > 0
         assert (
             with_victims.memory_traffic.fetches < plain.memory_traffic.fetches
         )
@@ -165,17 +177,19 @@ class TestSystemStatsSerde:
     def test_round_trip_with_structures(self, small_corpus):
         trace = small_corpus["ccom"][:5000]
         system = CacheSystem(
-            CacheConfig(
-                size=1024, line_size=16, write_hit=WriteHitPolicy.WRITE_THROUGH
-            ),
-            write_cache_entries=5,
+            one_level(
+                CacheConfig(
+                    size=1024, line_size=16, write_hit=WriteHitPolicy.WRITE_THROUGH
+                ),
+                write_cache_entries=5,
+            )
         )
         system.run(trace)
         stats = system.system_stats()
-        assert stats.write_cache is not None
+        assert stats.levels[0].write_cache is not None
         restored = SystemStats.from_dict(stats.to_dict())
         assert restored == stats
-        assert restored.write_cache == stats.write_cache
+        assert restored.levels[0].write_cache == stats.levels[0].write_cache
 
     def test_optional_fields_omitted_when_absent(self):
         payload = SystemStats().to_dict()
@@ -215,7 +229,7 @@ class TestDerivedMeterFastPath:
     @pytest.mark.parametrize("flush", [True, False])
     def test_fast_path_matches_composed_system(self, small_corpus, config, flush):
         trace = small_corpus["yacc"][:5000]
-        fast = simulate_system(trace, SystemConfig(cache=config), flush=flush)
+        fast = simulate_system(trace, one_level(config), flush=flush)
         composed = CacheSystem(config)
         composed.run(trace, flush=flush)
         assert fast.to_dict() == composed.system_stats().to_dict()

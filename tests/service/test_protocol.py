@@ -7,6 +7,7 @@ import pytest
 from repro.buffers.write_cache import WriteCacheConfig
 from repro.cache.config import CacheConfig
 from repro.exec.keys import ExperimentSpec
+from repro.hierarchy.system import HierarchyConfig
 from repro.service.protocol import (
     DEFAULT_TOKEN,
     ProtocolError,
@@ -16,6 +17,16 @@ from repro.service.protocol import (
 )
 
 SPEC = ExperimentSpec("write_cache", "ccom", 0.05, 7, WriteCacheConfig(entries=4))
+
+#: The pre-hierarchy flat ``system`` config shape: one cache, no levels.
+FLAT_SYSTEM_CONFIG = {"cache": CacheConfig(size=1024).to_dict(), "victim_entries": 4}
+
+
+def system_specs_payload(config_payload):
+    """A ``specs`` request whose one system spec carries ``config_payload``."""
+    spec = ExperimentSpec("system", "ccom", 0.05, 7, HierarchyConfig()).to_dict()
+    spec["config"] = config_payload
+    return {"specs": [spec]}
 
 
 class TestGridRequests:
@@ -92,6 +103,8 @@ class TestSpecRequests:
             {"specs": ["nope"]},
             {"specs": [{"kind": "cache"}]},
             {},
+            system_specs_payload(FLAT_SYSTEM_CONFIG),
+            system_specs_payload({}),
         ],
     )
     def test_bad_payloads_rejected(self, payload):

@@ -338,6 +338,15 @@ class TestHttpSurface:
         with pytest.raises(ServiceError) as excinfo:
             client.submit({"kind": "no-such-kind", "workloads": ["x"], "configs": [{}]})
         assert excinfo.value.status == 400
+        # A system config must name its levels: neither the flat
+        # one-cache shape nor an empty object decodes to a default.
+        flat = {"cache": CacheConfig(size=1024).to_dict(), "victim_entries": 4}
+        for config in (flat, {}):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit(
+                    {"kind": "system", "workloads": ["ccom"], "configs": [config]}
+                )
+            assert excinfo.value.status == 400, config
         with pytest.raises(ServiceError) as excinfo:
             client.job("job-999999")
         assert excinfo.value.status == 404

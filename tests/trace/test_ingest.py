@@ -219,7 +219,7 @@ class TestChunkedSimulationDifferential:
         )
         expected = stats_dict(simulate_trace(trace, config, flush=flush))
         text = as_text(trace)
-        for backend in ("auto", "loop", "reference"):
+        for backend in ("auto", "reference"):
             chunks = iter_trace_chunks(
                 io.BytesIO(text.encode()), format="text", chunk_refs=chunk_refs
             )
@@ -230,7 +230,7 @@ class TestChunkedSimulationDifferential:
 
     def test_larger_than_memory_bound_is_bit_identical(self):
         """A trace far larger than the chunk bound, resumed across many
-        chunk boundaries, on every engine (the CI acceptance gate)."""
+        chunk boundaries (the CI acceptance gate)."""
         rng = np.random.RandomState(1993)
         count = 50_000
         sizes = np.where(rng.rand(count) < 0.5, 4, 8).astype(np.int32)
@@ -244,12 +244,11 @@ class TestChunkedSimulationDifferential:
                 size=4096, line_size=32, write_hit=write_hit, write_miss=write_miss
             )
             expected = stats_dict(simulate_trace(trace, config))
-            for backend in ("auto", "loop"):
-                chunks = iter_trace_chunks(
-                    io.BytesIO(text.encode()), format="text", chunk_refs=1000
-                )
-                got = simulate_trace_chunked(chunks, config, backend=backend)
-                assert stats_dict(got) == expected, (write_miss, backend)
+            chunks = iter_trace_chunks(
+                io.BytesIO(text.encode()), format="text", chunk_refs=1000
+            )
+            got = simulate_trace_chunked(chunks, config)
+            assert stats_dict(got) == expected, write_miss
 
 
 class TestCorruptInputs:
