@@ -248,9 +248,8 @@ def _bench_ingest(trace, repeats):
 
     The trace is written once to a temporary text file; both sides then
     parse the same bytes from a warm page cache, so the ratio is pure
-    parser cost — exactly what ``repro trace add`` and a chunked
-    simulation over an ingested workload pay relative to the legacy
-    reader.
+    parser cost — exactly what ``repro trace add`` and
+    ``repro simulate --trace`` pay relative to the legacy reader.
     """
     import os
     import tempfile

@@ -187,45 +187,3 @@ def simulate_trace_batch(
     """
     results, _ = simulate_trace_batch_info(trace, configs, flush=flush, backend=backend)
     return results
-
-
-# ---------------------------------------------------------------------------
-# Chunk-resumable entry points (streamed ingestion).
-# ---------------------------------------------------------------------------
-
-
-def simulate_trace_chunked(
-    chunks, config: CacheConfig, flush: bool = True, backend: str = None
-):
-    """Run a trace presented as an iterable of :class:`Trace` chunks.
-
-    Dispatches exactly like :func:`simulate_trace` and produces stats
-    bit-identical to one in-memory pass over the concatenated chunks,
-    while holding only one chunk (plus per-set cache state) in memory —
-    the consumption side of :func:`repro.trace.ingest.iter_trace_chunks`.
-    """
-    from repro.cache.chunked import open_cursor
-
-    cursor = open_cursor(config, flush=flush, backend=backend)
-    for chunk in chunks:
-        cursor.feed(chunk)
-    return cursor.finish()
-
-
-def simulate_trace_batch_chunked(
-    chunks, configs: Sequence[CacheConfig], flush: bool = True, backend: str = None
-) -> List[CacheStats]:
-    """Chunk-major grid run: every config advances through each chunk.
-
-    One cursor per config; the chunk iterable is consumed exactly once,
-    so a streamed source works.  Results match
-    ``[simulate_trace(whole_trace, c, flush, backend) for c in configs]``
-    bit for bit.
-    """
-    from repro.cache.chunked import open_cursor
-
-    cursors = [open_cursor(config, flush=flush, backend=backend) for config in configs]
-    for chunk in chunks:
-        for cursor in cursors:
-            cursor.feed(chunk)
-    return [cursor.finish() for cursor in cursors]

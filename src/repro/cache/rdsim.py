@@ -843,18 +843,3 @@ def simulate_ladder(
     """
     results, _ = simulate_ladder_info(trace, configs, flush=flush)
     return results
-
-
-def simulate_ladder_chunked(
-    chunks, configs: Sequence[CacheConfig], flush: bool = True
-) -> List[CacheStats]:
-    """:func:`simulate_ladder` over streamed trace chunks.
-
-    Ladder profiling needs the whole trace in one pass, so chunked input
-    routes through per-config chunk cursors instead
-    (:func:`repro.cache.fastsim.simulate_trace_batch_chunked`); results
-    are bit-identical either way — only the route differs.
-    """
-    from repro.cache import fastsim
-
-    return fastsim.simulate_trace_batch_chunked(chunks, configs, flush=flush)

@@ -221,21 +221,6 @@ class CacheStats:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Element-wise sum of two counter sets (suite aggregation).
-
-        Derived properties of the merged object are reference-weighted
-        suite averages, which is how the paper aggregates "the six
-        benchmarks averaged together".
-        """
-        merged = CacheStats()
-        for spec in fields(CacheStats):
-            if spec.name in ("extra", "line_size"):
-                continue
-            setattr(merged, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
-        merged.line_size = self.line_size or other.line_size
-        return merged
-
     def validate_consistency(self) -> None:
         """Internal-consistency assertions used by the test suite."""
         assert self.read_hits + self.read_misses + self.read_partial_misses == (

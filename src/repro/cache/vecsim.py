@@ -1020,171 +1020,3 @@ def _classify_write_invalidate(
     stats.victims = state.victims
     if flush:
         stats.flushed_lines = state.flushed_lines
-
-
-# ---------------------------------------------------------------------------
-# End-of-run cache state export (the chunk-resume support).
-#
-# A direct-mapped stats-only cache's entire mutable state is three
-# per-set values — tag, valid byte mask, dirty byte mask — and this
-# kernel classifies bit-identically to the reference ``Cache``, so
-# exporting those three per resident set fully captures "where the cache
-# ended up".  The chunked cursors
-# (:mod:`repro.cache.chunked`) rebuild that state as a synthetic prelude
-# trace in front of the next chunk and subtract the prelude's stats back
-# out, which is what makes resumable simulation exact.
-# ---------------------------------------------------------------------------
-
-
-class CacheState:
-    """Per-set residency of a direct-mapped cache at end of run.
-
-    Parallel arrays over resident sets only: ``set_indices``/``tags``
-    (int64 arrays) plus ``valid``/``dirty`` byte masks as plain Python
-    ints (multi-lane masks combined, bit ``b`` covering byte ``b``), so
-    the state is line-size-agnostic for its consumers.
-    """
-
-    __slots__ = ("line_size", "num_sets", "set_indices", "tags", "valid", "dirty")
-
-    def __init__(self, line_size, num_sets, set_indices, tags, valid, dirty):
-        self.line_size = line_size
-        self.num_sets = num_sets
-        self.set_indices = set_indices
-        self.tags = tags
-        self.valid = valid
-        self.dirty = dirty
-
-    @classmethod
-    def empty(cls, config: CacheConfig) -> "CacheState":
-        return cls(
-            config.line_size,
-            config.num_sets,
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            [],
-            [],
-        )
-
-    @property
-    def resident_count(self) -> int:
-        return len(self.set_indices)
-
-
-def simulate_with_state(
-    trace: Trace, config: CacheConfig, flush: bool
-) -> Tuple[CacheStats, CacheState]:
-    """:func:`simulate_direct_mapped` plus the end-of-run cache state.
-
-    The returned state is always the *pre-flush* state (a flush leaves
-    residency intact in the reference cache's accounting; chunked
-    cursors run with ``flush=False`` and settle the flush from the final
-    state themselves).
-    """
-    assert supports(config), "caller must check vecsim.supports(config)"
-    if len(trace) == 0:
-        return _empty_stats(trace, config), CacheState.empty(config)
-    plan = _TracePlan(trace, config.line_size)
-    stream = plan.stream(config.num_sets)
-    stats = _simulate_on_plan(plan, stream, config, flush)
-    return stats, _export_state(stream, config)
-
-
-def _mask_ints(rows: np.ndarray) -> List[int]:
-    """Lane-mask rows combined into arbitrary-precision Python ints."""
-    rows = rows.reshape(len(rows), -1)
-    out = []
-    for row in rows.tolist():
-        value = 0
-        for lane, bits in enumerate(row):
-            value |= bits << (LANE_BYTES * lane)
-        out.append(value)
-    return out
-
-
-def _export_state(stream: _SegmentStream, config: CacheConfig) -> CacheState:
-    """Read the final (tag, valid, dirty) of every resident set out of
-    the cached classification state.
-
-    Residency and masks follow the reference ``Cache`` exactly: allocating
-    policies leave every touched set resident with the last run's tag;
-    write-validate valid masks are the run's OR-scan unless a partial
-    read refetched the line (then full); write-back dirty masks are the
-    run's store-mask OR.  The no-allocate policies hold the last load's
-    line — always fully valid and clean — except where write-invalidate
-    saw a mismatching store in the lead load's group.
-    """
-    lanes = _lane_count(config.line_size)
-    full = config.full_line_mask
-    last_pos = np.flatnonzero(stream.last_in_set)
-    if config.write_miss in (
-        WriteMissPolicy.FETCH_ON_WRITE,
-        WriteMissPolicy.WRITE_VALIDATE,
-    ):
-        alloc = stream.alloc_state()
-        set_indices = stream.set_index[last_pos]
-        tags = stream.tag[last_pos]
-        if config.is_write_back:
-            wb = alloc.writeback()
-            dirty = _mask_ints(
-                _mask_rows(wb.run_dirty, lanes)[alloc.run_id[last_pos] - 1]
-            )
-        else:
-            dirty = [0] * len(last_pos)
-        if config.write_miss is WriteMissPolicy.FETCH_ON_WRITE:
-            valid = [full] * len(last_pos)
-        else:
-            vstate = stream.validate_state(config.valid_granularity)
-            # The classifier discards its valid scan; rebuild it (same
-            # formulation as _ValidateState).
-            contribution = np.where(
-                _expand(alloc.run_start, stream.mask),
-                np.where(
-                    _expand(vstate.eligible, stream.mask),
-                    stream.mask,
-                    _full_line_masks(config.line_size),
-                ),
-                np.where(_expand(stream.store, stream.mask), stream.mask, np.uint64(0)),
-            )
-            valid_scan = _segmented_or_scan(contribution, alloc.run_id)
-            refetched = (
-                _counts_since_segment_start(
-                    vstate.fetch_candidate,
-                    alloc.run_start,
-                    stream.position,
-                    inclusive=True,
-                )[last_pos]
-                > 0
-            )
-            scanned = _mask_ints(_mask_rows(valid_scan, lanes)[last_pos])
-            valid = [
-                full if refetch else mask
-                for refetch, mask in zip(refetched.tolist(), scanned)
-            ]
-    else:
-        lead, has_lead, set_start = _lead_load(stream)
-        if config.write_miss is WriteMissPolicy.WRITE_AROUND:
-            resident = has_lead[last_pos]
-        else:
-            # Recompute the mismatch scan (the classifier discards it).
-            lead_tag = stream.tag[np.maximum(lead, 0)]
-            group = np.where(has_lead, lead, -1 - stream.set_index)
-            group_start = np.concatenate(([True], group[1:] != group[:-1]))
-            mismatch = stream.store & has_lead & (stream.tag != lead_tag)
-            mismatches_so_far = _counts_since_segment_start(
-                mismatch, group_start, stream.position, inclusive=True
-            )
-            resident = has_lead[last_pos] & (mismatches_so_far[last_pos] == 0)
-        keep = last_pos[resident]
-        set_indices = stream.set_index[keep]
-        tags = stream.tag[lead[keep]]
-        valid = [full] * len(keep)
-        dirty = [0] * len(keep)
-    return CacheState(
-        config.line_size,
-        config.num_sets,
-        np.ascontiguousarray(set_indices, dtype=np.int64),
-        np.ascontiguousarray(tags, dtype=np.int64),
-        valid,
-        dirty,
-    )

@@ -43,7 +43,7 @@ from repro.cache.fastsim import simulate_trace
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.common.render import format_table
 from repro.trace.corpus import BENCHMARK_NAMES, load
-from repro.trace.io import read_din_trace, read_trace
+from repro.trace.ingest import ingest_trace
 
 _HIT_POLICIES = {policy.value: policy for policy in WriteHitPolicy}
 _MISS_POLICIES = {policy.value: policy for policy in WriteMissPolicy}
@@ -368,9 +368,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_trace(args):
     if args.trace:
-        return read_trace(args.trace)
+        return ingest_trace(args.trace, format="text", name=args.trace)
     if args.din:
-        return read_din_trace(args.din)
+        return ingest_trace(args.din, format="din", name=args.din)
     return load(args.benchmark, scale=args.scale)
 
 

@@ -57,6 +57,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.common.errors import ConfigurationError
 from repro.common.serde import CounterSerde
 from repro.exec import faults as faults_module
 from repro.exec.experiments import get_kind
@@ -97,15 +98,31 @@ def set_default_jobs(jobs: Optional[int]) -> None:
     _default_jobs_override = jobs
 
 
+def env_number(name: str, parse: Callable[[str], float]):
+    """``parse($name)``, or ``None`` when the variable is unset or empty.
+
+    A value ``parse`` rejects raises :class:`ConfigurationError` naming
+    the variable, never a bare ``ValueError``.
+    """
+    raw = os.environ.get(name)
+    if not raw:
+        return None
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ConfigurationError(
+            f"${name}={raw!r} is not a valid {parse.__name__}"
+        ) from None
+
+
 def default_jobs() -> int:
     """Worker count: CLI override, else ``$REPRO_JOBS`` (0 = all cores), else 1."""
     if _default_jobs_override is not None:
         jobs = _default_jobs_override
     else:
-        raw = os.environ.get(ENV_JOBS)
-        if not raw:
+        jobs = env_number(ENV_JOBS, int)
+        if jobs is None:
             return 1
-        jobs = int(raw)
     return os.cpu_count() or 1 if jobs == 0 else max(1, jobs)
 
 
@@ -126,8 +143,8 @@ def default_retries() -> int:
     """Per-task retry budget: CLI override, else ``$REPRO_RETRIES``, else 2."""
     if _default_retries_override is not _UNSET:
         return max(0, int(_default_retries_override))
-    raw = os.environ.get(ENV_RETRIES)
-    return max(0, int(raw)) if raw else DEFAULT_RETRIES
+    retries = env_number(ENV_RETRIES, int)
+    return DEFAULT_RETRIES if retries is None else max(0, retries)
 
 
 def default_task_timeout() -> Optional[float]:
@@ -135,11 +152,8 @@ def default_task_timeout() -> Optional[float]:
     if _default_timeout_override is not _UNSET:
         value = float(_default_timeout_override)
         return value if value > 0 else None
-    raw = os.environ.get(ENV_TASK_TIMEOUT)
-    if not raw:
-        return None
-    value = float(raw)
-    return value if value > 0 else None
+    value = env_number(ENV_TASK_TIMEOUT, float)
+    return value if value is not None and value > 0 else None
 
 
 @dataclass(frozen=True)

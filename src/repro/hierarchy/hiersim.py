@@ -338,26 +338,6 @@ def simulate_hierarchy(
     return stats
 
 
-def simulate_hierarchy_chunked(chunks, config, flush: bool = True) -> SystemStats:
-    """Run a hierarchy over streamed trace chunks in bounded memory.
-
-    The composed :class:`CacheSystem` is a persistent object, so chunk
-    resume is free: each chunk drives the same system and the flush
-    drains once at the end.  Every hierarchy route is bit-identical, so
-    the result matches :func:`simulate_hierarchy` over the concatenated
-    trace stat for stat.
-    """
-    from repro.hierarchy.system import CacheSystem
-
-    system = CacheSystem(_as_hierarchy(config))
-    for chunk in chunks:
-        system.run(chunk, flush=False)
-    if flush:
-        for level in system.levels:
-            level.flush()
-    return system.system_stats()
-
-
 def simulate_hierarchy_batch_info(
     trace: Trace,
     configs: Sequence,

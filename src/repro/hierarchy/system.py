@@ -558,10 +558,3 @@ def simulate_system(trace: Trace, config, flush: bool = True) -> SystemStats:
     from repro.hierarchy import hiersim
 
     return hiersim.simulate_hierarchy(trace, _as_hierarchy(config), flush=flush)
-
-
-def simulate_system_chunked(chunks, config, flush: bool = True) -> SystemStats:
-    """:func:`simulate_system` over streamed trace chunks (bounded memory)."""
-    from repro.hierarchy import hiersim
-
-    return hiersim.simulate_hierarchy_chunked(chunks, _as_hierarchy(config), flush=flush)

@@ -55,8 +55,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional
 from urllib.parse import parse_qs, urlparse
 
+from repro.common.errors import ConfigurationError
 from repro.exec.keys import ExperimentSpec
-from repro.exec.pool import ExperimentPool, PoolTelemetry, RunEvent, default_jobs
+from repro.exec.pool import (
+    ExperimentPool,
+    PoolTelemetry,
+    RunEvent,
+    default_jobs,
+    env_number,
+)
 from repro.exec.store import ResultStore, open_default_store
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -96,8 +103,12 @@ def default_host() -> str:
 
 def default_port() -> int:
     """Bind/connect port: ``$REPRO_SERVE_PORT`` or ``8321``."""
-    raw = os.environ.get(ENV_SERVE_PORT)
-    return int(raw) if raw else DEFAULT_PORT
+    port = env_number(ENV_SERVE_PORT, int)
+    if port is None:
+        return DEFAULT_PORT
+    if not 0 <= port <= 65535:
+        raise ConfigurationError(f"${ENV_SERVE_PORT}={port} is outside 0-65535")
+    return port
 
 
 class ExperimentService:

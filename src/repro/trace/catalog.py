@@ -26,7 +26,7 @@ import os
 import pathlib
 import tempfile
 import time
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -211,28 +211,6 @@ class TraceCatalog:
             np.ascontiguousarray(records["icount"]),
             name=f"{INGESTED_PREFIX}{digest[:12]}",
         )
-
-    def iter_chunks(
-        self, digest: str, chunk_refs: int = DEFAULT_CHUNK_REFS
-    ) -> Iterator[Trace]:
-        """Stream the catalogued trace as bounded chunks."""
-        digest = self.resolve(digest)
-        record_size = PACK_DTYPE.itemsize
-        index = 0
-        with gzip.open(self.payload_path(digest), "rb") as stream:
-            while True:
-                raw = stream.read(chunk_refs * record_size)
-                if not raw:
-                    return
-                records = np.frombuffer(raw, dtype=PACK_DTYPE)
-                yield Trace.from_arrays(
-                    np.ascontiguousarray(records["address"]),
-                    np.ascontiguousarray(records["size"]),
-                    np.ascontiguousarray(records["kind"]),
-                    np.ascontiguousarray(records["icount"]),
-                    name=f"{INGESTED_PREFIX}{digest[:12]}#{index}",
-                )
-                index += 1
 
     # -- maintenance --------------------------------------------------------
 

@@ -18,8 +18,10 @@ hopeless for externally captured traces.  This module is the scale path:
   for every malformed input — never a bare ``ValueError``;
 - bounded output: :func:`iter_trace_chunks` yields
   :class:`~repro.trace.trace.Trace` chunks of at most ``chunk_refs``
-  references each, ready for the chunk-resumable engines
-  (:func:`repro.cache.fastsim.simulate_trace_chunked` and friends).
+  references each.  The catalog streams them to disk and hashes them
+  without holding the whole capture.  Simulation always runs whole
+  traces: :func:`ingest_trace` concatenates the chunks once, and the
+  catalog's ``load`` reads a stored stream back whole.
 
 Content identity: :func:`pack_refs` defines the canonical packed byte
 encoding of a reference stream and :class:`TraceHasher` its SHA-256 —
@@ -852,16 +854,16 @@ def ingest_trace(
     read_bytes: int = DEFAULT_READ_BYTES,
 ) -> Trace:
     """Read a whole trace through the chunked path (convenience wrapper)."""
-    merged: Optional[Trace] = None
-    for chunk in iter_trace_chunks(
-        source,
-        format=format,
-        access_size=access_size,
-        name=name,
-        read_bytes=read_bytes,
-    ):
-        merged = chunk if merged is None else merged.concat(chunk)
-    if merged is None:
+    chunks = list(
+        iter_trace_chunks(
+            source,
+            format=format,
+            access_size=access_size,
+            name=name,
+            read_bytes=read_bytes,
+        )
+    )
+    if not chunks:
         return Trace.from_arrays(
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.int32),
@@ -869,9 +871,13 @@ def ingest_trace(
             np.zeros(0, dtype=np.int32),
             name=name or "",
         )
-    if name:
-        merged.name = name
-    return merged
+    return Trace.from_arrays(
+        np.concatenate([chunk.address_array for chunk in chunks]),
+        np.concatenate([chunk.size_array for chunk in chunks]),
+        np.concatenate([chunk.kind_array for chunk in chunks]),
+        np.concatenate([chunk.icount_array for chunk in chunks]),
+        name=name or "+".join(chunk.name for chunk in chunks),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,12 @@ inspected, diffed, and produced by external tools:
 recognised regardless of their name.  The format intentionally
 round-trips everything a :class:`~repro.trace.trace.Trace` holds.
 
-For bulk ingestion of large or externally captured traces, prefer the
-chunked array-native path in :mod:`repro.trace.ingest` — it parses the
-same formats (plus CSV) orders of magnitude faster and in bounded
-memory.
+This line reader builds one ``MemRef`` per reference.  It stays as the
+public :func:`read_trace` and as the oracle the ingest differential
+tests compare against; the CLI, ``trace add`` and the service all parse
+through the chunked array-native path in :mod:`repro.trace.ingest`,
+which reads the same formats (plus CSV) orders of magnitude faster and
+in bounded memory.
 """
 
 import gzip

@@ -1,8 +1,16 @@
 """Tests of the top-level CLI (python -m repro)."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import main
+from repro.common.errors import ConfigurationError
+from repro.exec import pool as pool_module
+from repro.service import app as app_module
 
 from tests.conftest import TEST_SCALE
 
@@ -97,6 +105,54 @@ class TestOtherCommands:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestErrorExits:
+    @pytest.mark.parametrize(
+        "variable,value,read",
+        [
+            ("REPRO_JOBS", "abc", pool_module.default_jobs),
+            ("REPRO_RETRIES", "x", pool_module.default_retries),
+            ("REPRO_TASK_TIMEOUT", "soon", pool_module.default_task_timeout),
+            ("REPRO_SERVE_PORT", "http", app_module.default_port),
+            ("REPRO_SERVE_PORT", "70000", app_module.default_port),
+            ("REPRO_SERVE_PORT", "-1", app_module.default_port),
+        ],
+    )
+    def test_malformed_env_toggle(self, monkeypatch, variable, value, read):
+        # CLI flags set process-wide overrides; clear them so the
+        # environment is what gets read.
+        monkeypatch.setattr(pool_module, "_default_jobs_override", None)
+        for override in ("_default_retries_override", "_default_timeout_override"):
+            monkeypatch.setattr(pool_module, override, pool_module._UNSET)
+        monkeypatch.setenv(variable, value)
+        with pytest.raises(ConfigurationError, match=variable):
+            read()
+
+    @pytest.mark.parametrize(
+        "name,content", [("missing.trace", None), ("bad.trace", "r zz 4\n")]
+    )
+    def test_module_entry_reports_one_line(self, tmp_path, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        env = dict(os.environ)
+        src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        env["REPRO_RESULT_DIR"] = "off"
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "simulate", "--trace", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert result.returncode == 2
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("repro: "), result.stderr
+        assert "Traceback" not in result.stderr
 
 
 class TestCsvExport:

@@ -2,9 +2,9 @@
 
 The contract under test: for any trace, any format it can be written in,
 any read-buffer size (including ones that split lines mid-token) and any
-chunk size (including 1), chunked ingest plus chunk-resumed simulation
-is bit-identical to the legacy whole-file readers plus one-shot
-simulation — across every engine and all four write-miss policies.
+chunk size (including 1), chunked ingest yields exactly the references
+the line readers in :mod:`repro.trace.io` produce — also for a trace
+many times larger than the chunk bound.
 A corrupt-input matrix asserts every malformed stream dies with a
 :class:`TraceFormatError` carrying a line number, never a bare
 ``ValueError``.
@@ -18,9 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cache.config import CacheConfig
-from repro.cache.fastsim import simulate_trace, simulate_trace_chunked
-from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.common.errors import TraceFormatError
 from repro.trace.events import READ, WRITE
 from repro.trace.ingest import (
@@ -37,16 +34,6 @@ COMMON_SETTINGS = dict(
     deadline=None,
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
-)
-
-#: Every legal (hit, miss) pairing — all four write-miss policies.
-POLICY_PAIRS = (
-    (WriteHitPolicy.WRITE_BACK, WriteMissPolicy.FETCH_ON_WRITE),
-    (WriteHitPolicy.WRITE_BACK, WriteMissPolicy.WRITE_VALIDATE),
-    (WriteHitPolicy.WRITE_THROUGH, WriteMissPolicy.FETCH_ON_WRITE),
-    (WriteHitPolicy.WRITE_THROUGH, WriteMissPolicy.WRITE_VALIDATE),
-    (WriteHitPolicy.WRITE_THROUGH, WriteMissPolicy.WRITE_AROUND),
-    (WriteHitPolicy.WRITE_THROUGH, WriteMissPolicy.WRITE_INVALIDATE),
 )
 
 
@@ -113,12 +100,6 @@ def assert_traces_equal(got: Trace, expected: Trace) -> None:
     np.testing.assert_array_equal(got.size_array, expected.size_array)
     np.testing.assert_array_equal(got.kind_array, expected.kind_array)
     np.testing.assert_array_equal(got.icount_array, expected.icount_array)
-
-
-def stats_dict(stats) -> dict:
-    payload = stats.to_dict()
-    payload.pop("extra", None)
-    return payload
 
 
 class TestParserDifferential:
@@ -200,37 +181,10 @@ class TestParserDifferential:
         digests.add(hasher.hexdigest())
         assert len(digests) == 1
 
-
-class TestChunkedSimulationDifferential:
-    @given(
-        trace=traces(),
-        policy=st.sampled_from(POLICY_PAIRS),
-        chunk_refs=st.sampled_from((1, 5, 23)),
-        flush=st.booleans(),
-    )
-    @settings(**COMMON_SETTINGS)
-    def test_all_engines_all_policies(self, trace, policy, chunk_refs, flush):
-        write_hit, write_miss = policy
-        config = CacheConfig(
-            size=128,
-            line_size=16,
-            write_hit=write_hit,
-            write_miss=write_miss,
-        )
-        expected = stats_dict(simulate_trace(trace, config, flush=flush))
-        text = as_text(trace)
-        for backend in ("auto", "reference"):
-            chunks = iter_trace_chunks(
-                io.BytesIO(text.encode()), format="text", chunk_refs=chunk_refs
-            )
-            got = simulate_trace_chunked(
-                chunks, config, flush=flush, backend=backend
-            )
-            assert stats_dict(got) == expected, backend
-
     def test_larger_than_memory_bound_is_bit_identical(self):
-        """A trace far larger than the chunk bound, resumed across many
-        chunk boundaries (the CI acceptance gate)."""
+        """A trace far larger than the chunk bound parses into bounded
+        chunks that concatenate to the line reader's trace (the CI
+        acceptance gate)."""
         rng = np.random.RandomState(1993)
         count = 50_000
         sizes = np.where(rng.rand(count) < 0.5, 4, 8).astype(np.int32)
@@ -239,16 +193,23 @@ class TestChunkedSimulationDifferential:
         icounts = rng.randint(1, 4, size=count).astype(np.int32)
         trace = Trace.from_arrays(addresses, sizes, kinds, icounts, name="big")
         text = as_text(trace)
-        for write_hit, write_miss in POLICY_PAIRS:
-            config = CacheConfig(
-                size=4096, line_size=32, write_hit=write_hit, write_miss=write_miss
+        chunks = list(
+            iter_trace_chunks(
+                io.BytesIO(text.encode()),
+                format="text",
+                chunk_refs=1000,
+                read_bytes=1 << 12,
             )
-            expected = stats_dict(simulate_trace(trace, config))
-            chunks = iter_trace_chunks(
-                io.BytesIO(text.encode()), format="text", chunk_refs=1000
-            )
-            got = simulate_trace_chunked(chunks, config)
-            assert stats_dict(got) == expected, write_miss
+        )
+        assert len(chunks) == count // 1000
+        assert all(len(chunk) <= 1000 for chunk in chunks)
+        merged = Trace.from_arrays(
+            np.concatenate([chunk.address_array for chunk in chunks]),
+            np.concatenate([chunk.size_array for chunk in chunks]),
+            np.concatenate([chunk.kind_array for chunk in chunks]),
+            np.concatenate([chunk.icount_array for chunk in chunks]),
+        )
+        assert_traces_equal(merged, read_trace(io.StringIO(text)))
 
 
 class TestCorruptInputs:
