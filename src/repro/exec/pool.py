@@ -10,7 +10,9 @@ kind's registered runner (see :mod:`repro.exec.experiments`) — inline for
 ``jobs>1``.  Duplicate specs are collapsed before any work is scheduled,
 freshly computed results are persisted as they stream back, and every
 resolution emits a :class:`RunEvent` through a pluggable callback (see
-:func:`verbose_reporter` for the ``--verbose`` CLI hook).
+:func:`verbose_reporter` for the ``--verbose`` CLI hook).  The memo and
+store tiers (:meth:`ExperimentPool.lookup`) run without the pool lock, so
+a batch that needs no computation never waits on one that does.
 
 Traces travel to workers as zero-copy shared-memory pages
 (:mod:`repro.exec.shm`): the parent builds each distinct trace once and
@@ -283,16 +285,27 @@ class PoolTelemetry(CounterSerde):
 #: each prefetching its own grid) report one summary line CI can grep.
 _aggregate = PoolTelemetry()
 
+#: Guards ``_aggregate``: batches that resolve without computing finish
+#: outside the pool lock, so several threads may fold in at once.
+_aggregate_lock = threading.Lock()
+
 
 def aggregate_telemetry() -> PoolTelemetry:
     """The process-wide telemetry total (all batches since last reset)."""
     return _aggregate
 
 
+def add_to_aggregate(telemetry: PoolTelemetry) -> None:
+    """Fold one batch's counters into the process-wide total."""
+    with _aggregate_lock:
+        _aggregate.add(telemetry)
+
+
 def reset_aggregate_telemetry() -> PoolTelemetry:
     """Zero the process-wide total; returns the new (empty) instance."""
     global _aggregate
-    _aggregate = PoolTelemetry()
+    with _aggregate_lock:
+        _aggregate = PoolTelemetry()
     return _aggregate
 
 
@@ -487,6 +500,13 @@ def verbose_reporter(stream=None) -> Callable[[RunEvent], None]:
     return report
 
 
+def _emit(
+    callback, source, key, seconds, completed, total, attempt=1, degraded=False
+) -> None:
+    if callback is not None:
+        callback(RunEvent(source, key, seconds, completed, total, attempt, degraded))
+
+
 class ExperimentPool:
     """Batch runner: memory -> disk -> compute, optionally in parallel."""
 
@@ -514,20 +534,23 @@ class ExperimentPool:
         # on its own through faults.active_plan()).
         if store is not None and faults is not None:
             store.faults = faults
-        self.telemetry = PoolTelemetry()
-        # Serializes whole run_many() batches: concurrent callers (the
-        # experiment service's job workers) queue here instead of racing
-        # on callback/telemetry state.  Reentrant so a caller may hold it
-        # across a batch to read self.telemetry atomically afterwards.
+        # Per-thread slot for the telemetry of the thread's latest batch.
+        self._last = threading.local()
+        # Serializes the compute phase of run_many(): concurrent callers
+        # (the experiment service's job workers) queue here for worker
+        # processes, never for memo or store reads.  Reentrant so a caller
+        # may hold it across a batch it sets the callback for.
         self._lock = threading.RLock()
 
-    def _emit(
-        self, source, key, seconds, completed, total, attempt=1, degraded=False
-    ) -> None:
-        if self.callback is not None:
-            self.callback(
-                RunEvent(source, key, seconds, completed, total, attempt, degraded)
-            )
+    @property
+    def telemetry(self) -> PoolTelemetry:
+        """Counters of the latest batch the *calling thread* finished.
+
+        Per thread, so a thread always reads its own batch even while
+        other threads' batches finish around it.
+        """
+        telemetry = getattr(self._last, "telemetry", None)
+        return PoolTelemetry() if telemetry is None else telemetry
 
     @staticmethod
     def _export_traces(pending):
@@ -577,7 +600,7 @@ class ExperimentPool:
                 singles.append(specs[0])
         return batches, singles
 
-    def _persist(self, key: ExperimentSpec, stats) -> bool:
+    def _persist(self, key: ExperimentSpec, stats, telemetry) -> bool:
         """Persist one result, retrying a failed write once.
 
         A store write that keeps failing (disk full, torn-write fault
@@ -588,26 +611,75 @@ class ExperimentPool:
             self.store.put(key, stats)
             return True
         except Exception:
-            self.telemetry.retries += 1
+            telemetry.retries += 1
         try:
             self.store.put(key, stats)
             return True
         except Exception:
-            self.telemetry.degraded_runs += 1
+            telemetry.degraded_runs += 1
             return False
 
     @property
     def lock(self) -> "threading.RLock":
-        """The reentrant lock serializing this pool's batches.
+        """The reentrant lock serializing this pool's compute phases.
 
-        Callers that need the batch *and* its telemetry atomically under
-        concurrency hold it across both::
+        Only computation takes it; :meth:`lookup` and batches it fully
+        resolves never do.  A caller that must keep other batches from
+        computing while it changes shared state (the service swapping
+        :attr:`callback`) holds it across its own batch::
 
             with pool.lock:
+                pool.callback = reporter
                 results = pool.run_many(specs, memo=memo)
-                telemetry = pool.telemetry
         """
         return self._lock
+
+    def lookup(
+        self,
+        keys: Iterable[ExperimentSpec],
+        memo: Optional[Dict[ExperimentSpec, object]] = None,
+        callback: Optional[Callable[[RunEvent], None]] = None,
+    ) -> Tuple[Dict[ExperimentSpec, object], List[ExperimentSpec], PoolTelemetry]:
+        """Resolve what is already known, without taking :attr:`lock`.
+
+        Deduplicates ``keys``, serves each from ``memo`` and then from the
+        store (a store hit is copied into ``memo``), and reports every hit
+        through ``callback`` as a ``memory``/``store`` :class:`RunEvent`.
+        Returns ``(results, pending, telemetry)``: the hits, the specs left
+        to compute in first-seen order, and a :class:`PoolTelemetry` with
+        ``requested``, ``deduplicated``, ``memory_hits`` and
+        ``store_hits`` filled in.
+
+        Safe from many threads while another computes: memo reads and
+        writes are single dict operations, and the store counts its reads
+        under its own lock.
+        """
+        requested = list(keys)
+        # Validate every kind up front: an unknown kind should fail the
+        # batch loudly, not die inside a worker process.
+        for spec in requested:
+            get_kind(spec.kind)
+        unique = list(dict.fromkeys(requested))
+        telemetry = PoolTelemetry(requested=len(requested), deduplicated=len(unique))
+        results: Dict[ExperimentSpec, object] = {}
+        pending = []
+        for key in unique:
+            stats = memo.get(key) if memo is not None else None
+            if stats is not None:
+                telemetry.memory_hits += 1
+                source = "memory"
+            else:
+                stats = self.store.get(key) if self.store is not None else None
+                if stats is None:
+                    pending.append(key)
+                    continue
+                if memo is not None:
+                    memo[key] = stats
+                telemetry.store_hits += 1
+                source = "store"
+            results[key] = stats
+            _emit(callback, source, key, 0.0, len(results), len(unique))
+        return results, pending, telemetry
 
     def run_many(
         self,
@@ -618,67 +690,49 @@ class ExperimentPool:
 
         ``memo`` is consulted first and updated in place (the runner passes
         its per-process cache so pool results feed subsequent ``run()``
-        calls for free).  Telemetry covers exactly this batch; the
+        calls for free).  Telemetry covers exactly this batch and is read
+        back through :attr:`telemetry` on the calling thread; the
         process-wide :func:`aggregate_telemetry` accumulates across
         batches.
 
-        Thread-safe: concurrent callers serialize on :attr:`lock`, so two
-        threads driving one pool run their batches back to back (each
-        batch still fans out across worker processes internally).
-        ``self.telemetry`` describes the most recently finished batch —
-        hold :attr:`lock` across the call and the read if another thread
-        might start a batch in between.
+        Thread-safe: :meth:`lookup` runs without the lock, and only a batch
+        with specs left to compute takes :attr:`lock`, so a batch served
+        wholly from memo or store never waits on another thread's
+        computation.  Under the lock the memo is checked again, because
+        another thread may have computed a pending spec in between — that
+        check keeps computation exactly-once.
         """
-        with self._lock:
-            return self._run_many_locked(keys, memo)
-
-    def _run_many_locked(self, keys, memo):
         started = time.perf_counter()
         requested = list(keys)
-        # Validate every kind up front: an unknown kind should fail the
-        # batch loudly, not die inside a worker process.
-        for spec in requested:
-            get_kind(spec.kind)
-        unique = list(dict.fromkeys(requested))
-        telemetry = self.telemetry = PoolTelemetry(
-            requested=len(requested), deduplicated=len(unique)
-        )
-
-        results: Dict[ExperimentSpec, object] = {}
-        pending = []
-        completed = 0
-        total = len(unique)
-        for key in unique:
-            if memo is not None and key in memo:
-                results[key] = memo[key]
-                telemetry.memory_hits += 1
-                completed += 1
-                self._emit("memory", key, 0.0, completed, total)
-                continue
-            stored = self.store.get(key) if self.store is not None else None
-            if stored is not None:
-                results[key] = stored
-                if memo is not None:
-                    memo[key] = stored
-                telemetry.store_hits += 1
-                completed += 1
-                self._emit("store", key, 0.0, completed, total)
-                continue
-            pending.append(key)
-
+        callback = self.callback
+        results, pending, telemetry = self.lookup(requested, memo, callback)
         if pending:
-            self._resolve_pending(pending, results, memo, total)
-
+            with self._lock:
+                total = telemetry.deduplicated
+                missing = []
+                for key in pending:
+                    stats = memo.get(key) if memo is not None else None
+                    if stats is None:
+                        missing.append(key)
+                        continue
+                    results[key] = stats
+                    telemetry.memory_hits += 1
+                    _emit(callback, "memory", key, 0.0, len(results), total)
+                if missing:
+                    self._resolve_pending(missing, results, memo, telemetry, callback)
         telemetry.wall_seconds = time.perf_counter() - started
-        _aggregate.add(telemetry)
-        return {key: results[key] for key in unique}
+        self._last.telemetry = telemetry
+        add_to_aggregate(telemetry)
+        if pending:  # computed specs joined after the hits: first-seen order
+            results = {key: results[key] for key in dict.fromkeys(requested)}
+        return results
 
     # -- pending execution --------------------------------------------------
 
-    def _resolve_pending(self, pending, results, memo, total):
+    def _resolve_pending(self, pending, results, memo, telemetry, callback):
         """Compute every pending spec, surviving worker loss and faults."""
-        telemetry = self.telemetry
         plan = self.faults
+        total = telemetry.deduplicated
         counter = _Counter(total - len(pending))
         attempts: Dict[ExperimentSpec, int] = {key: 0 for key in pending}
 
@@ -687,13 +741,14 @@ class ExperimentPool:
             if memo is not None:
                 memo[key] = stats
             if self.store is not None:
-                self._persist(key, stats)
+                self._persist(key, stats, telemetry)
             telemetry.computed += 1
             telemetry.sim_seconds += seconds
             if task is not None and task.degraded:
                 telemetry.degraded_runs += 1
             counter.value += 1
-            self._emit(
+            _emit(
+                callback,
                 "computed",
                 key,
                 seconds,
@@ -745,7 +800,8 @@ class ExperimentPool:
         def emit_failures(task, source):
             for spec in task.specs:
                 attempts[spec] += 1
-                self._emit(
+                _emit(
+                    callback,
                     source,
                     spec,
                     0.0,
@@ -803,7 +859,8 @@ class ExperimentPool:
             self._run_serial(tasks, deliver, execute_inline, followups_for)
         else:
             self._run_parallel(
-                tasks, pending, attempts, plan, deliver, execute_inline, followups_for
+                tasks, pending, attempts, plan, telemetry,
+                deliver, execute_inline, followups_for,
             )
 
     def _run_serial(self, tasks, deliver, execute_inline, followups_for):
@@ -829,10 +886,10 @@ class ExperimentPool:
                     queue.appendleft(replacement)
 
     def _run_parallel(
-        self, tasks, pending, attempts, plan, deliver, execute_inline, followups_for
+        self, tasks, pending, attempts, plan, telemetry,
+        deliver, execute_inline, followups_for,
     ):
         """The fan-out scheduler: submit, watch deadlines, survive crashes."""
-        telemetry = self.telemetry
         workers = min(self.jobs, len(tasks))
         rebuild_limit = max(8, 4 * (self.retries + 1))
         exported = self._export_traces(pending)

@@ -41,7 +41,8 @@ import json
 import os
 import pathlib
 import tempfile
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.exec import faults as faults_module
@@ -63,13 +64,25 @@ _DISABLED_VALUES = ("", "off", "none", "0", "disabled")
 
 @dataclass
 class StoreTelemetry:
-    """Counters describing how the store has been used this process."""
+    """Counters describing how the store has been used this process.
+
+    Several threads read one store at once (the pool's lookups run outside
+    its lock), so counters change only through :meth:`count`.
+    """
 
     hits: int = 0  #: get() calls served from disk
     misses: int = 0  #: get() calls with no record on disk
     corrupt: int = 0  #: records skipped because they failed to parse
     writes: int = 0  #: records persisted
     quarantined: int = 0  #: bad records moved into the quarantine sidecar
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
+
+    def count(self, name: str) -> None:
+        """Add one to the counter ``name`` (a read-modify-write, so locked)."""
+        with self._lock:
+            setattr(self, name, getattr(self, name) + 1)
 
     def snapshot(self) -> Dict[str, int]:
         return {
@@ -138,15 +151,15 @@ class ResultStore:
         try:
             raw = path.read_text(encoding="utf-8")
         except OSError:
-            self.telemetry.misses += 1
+            self.telemetry.count("misses")
             return None
         stats, reason = self._decode(key, raw)
         if reason is not None:
             # A bad record is never fatal: quarantine it and recompute.
-            self.telemetry.corrupt += 1
+            self.telemetry.count("corrupt")
             self._quarantine(path, reason, raw=raw)
             return None
-        self.telemetry.hits += 1
+        self.telemetry.count("hits")
         return stats
 
     def put(self, key: ExperimentSpec, stats) -> None:
@@ -190,7 +203,7 @@ class ResultStore:
             except OSError:
                 pass
             raise
-        self.telemetry.writes += 1
+        self.telemetry.count("writes")
 
     def contains(self, key: ExperimentSpec) -> bool:
         """Cheap existence probe (no parse, no telemetry)."""
@@ -231,7 +244,7 @@ class ResultStore:
             path.unlink()
         except OSError:
             pass
-        self.telemetry.quarantined += 1
+        self.telemetry.count("quarantined")
 
     def quarantine_entries(self) -> List[Dict[str, str]]:
         """The quarantined records: ``[{"file", "reason", "source"}, ...]``."""

@@ -4,8 +4,11 @@
 pulling jobs off the bounded fair queue (:mod:`repro.service.queue`) and
 resolving each through the shared :class:`~repro.exec.pool.ExperimentPool`
 (memory -> disk -> compute, fanned out across worker processes) with
-cross-client coalescing: before computing, a job claims its specs in the
-:class:`~repro.service.queue.SpecLedger`; specs another in-flight job
+cross-client coalescing.  A job first runs the pool's lock-free
+:meth:`~repro.exec.pool.ExperimentPool.lookup` over its specs, so cached
+specs never queue behind another job's computation; ``pool.lock`` covers
+only the compute phase.  It then claims the misses in the
+:class:`~repro.service.queue.SpecLedger`; misses another in-flight job
 already claimed are *subscribed* instead, and resolve from that job's
 computation (counted in the ``coalesced`` telemetry).  Results are
 bit-identical to a local run — the service adds routing, never math.
@@ -59,8 +62,8 @@ from repro.common.errors import ConfigurationError
 from repro.exec.keys import ExperimentSpec
 from repro.exec.pool import (
     ExperimentPool,
-    PoolTelemetry,
     RunEvent,
+    add_to_aggregate,
     default_jobs,
     env_number,
 )
@@ -245,16 +248,15 @@ class ExperimentService:
                     self.telemetry.failed += 1
 
     def _run_batch(self, job: Job, specs: List[ExperimentSpec], reporter):
-        """One locked pool batch for ``job``; folds its telemetry in."""
+        """Compute ``specs`` for ``job`` in one locked pool batch; folds
+        its telemetry in."""
         with self.pool.lock:
             self.pool.callback = reporter
             try:
                 results = self.pool.run_many(specs, memo=self.memo)
             finally:
                 self.pool.callback = None
-            job.telemetry.add(
-                PoolTelemetry.from_dict(self.pool.telemetry.to_dict())
-            )
+        job.telemetry.add(self.pool.telemetry)
         return results
 
     def _run_job(self, job: Job) -> None:
@@ -290,8 +292,15 @@ class ExperimentService:
             )
 
         try:
-            claimed, shared = self.ledger.claim(job.specs, job.id)
-            results: Dict[ExperimentSpec, object] = {}
+            results, pending, found = self.pool.lookup(
+                job.specs, self.memo, reporter
+            )
+            # Count only what the lookup resolved: a pending spec is counted
+            # by the batch that computes it, or by the job it coalesces onto.
+            found.requested = found.deduplicated = len(results)
+            job.telemetry.add(found)
+            add_to_aggregate(found)
+            claimed, shared = self.ledger.claim(pending, job.id)
             if claimed:
                 try:
                     computed = self._run_batch(job, claimed, reporter)
@@ -434,8 +443,20 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass
 
+    def _content_length(self) -> int:
+        """The request's ``Content-Length`` (0 when absent).
+
+        Anything but a non-negative decimal integer raises
+        :class:`ProtocolError`: a negative length would make
+        ``rfile.read`` block until the client hangs up.
+        """
+        raw = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw.isascii() and raw.isdigit()):
+            raise ProtocolError(f"bad Content-Length header: {raw!r}")
+        return int(raw)
+
     def _read_body(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b""
         try:
             return json.loads(raw.decode("utf-8")) if raw else None
@@ -544,7 +565,11 @@ class _ServiceHandler(BaseHTTPRequestHandler):
         if catalog is None:
             self._send_json(404, {"error": "result store is disabled"})
             return
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = self._content_length()
+        except ProtocolError as error:
+            self._send_json(400, {"error": str(error)})
+            return
         raw = self.rfile.read(length) if length else b""
         if not raw:
             self._send_json(400, {"error": "empty request body"})

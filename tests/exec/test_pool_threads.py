@@ -1,10 +1,12 @@
 """Thread-safety of :meth:`ExperimentPool.run_many`.
 
 The experiment service drives one pool from several job-worker threads.
-The pool serializes whole batches on an internal reentrant lock, so
-concurrent callers must (a) all get correct, complete results, and
-(b) be able to read a telemetry snapshot that describes *their* batch by
-holding :attr:`ExperimentPool.lock` across the call and the read.
+The memo and store lookup runs without the pool's reentrant lock; the
+lock covers only the compute phase.  So concurrent callers must (a) all
+get correct, complete results, (b) read telemetry that describes *their*
+batch, (c) finish a batch that needs no computation while another thread
+holds the lock, and (d) never compute a spec twice, even when another
+thread resolves it between this caller's lookup and its lock.
 """
 
 import threading
@@ -134,3 +136,101 @@ class TestConcurrentRunMany:
                 snapshot.computed + snapshot.store_hits + snapshot.memory_hits
                 == 5
             )
+
+
+_GATE = threading.Event()
+_AT_GATE = threading.Event()
+_COMPUTED = []
+
+
+def _run_gated(spec, trace):
+    # jobs=1 pools compute inline in the calling thread.
+    _AT_GATE.set()
+    assert _GATE.wait(timeout=30), "test gate never opened"
+    _COMPUTED.append(spec)
+    return _ThreadStats(value=len(trace) + spec.seed)
+
+
+@pytest.fixture()
+def gated_kind():
+    _GATE.clear()
+    _AT_GATE.clear()
+    _COMPUTED.clear()
+    register_runner(
+        "threadtoy",
+        _run_gated,
+        _ThreadStats,
+        engine_version="1",
+        config_type=CacheConfig,
+    )
+    yield
+    _GATE.set()
+    unregister_runner("threadtoy")
+
+
+class TestLockCoversOnlyCompute:
+    def test_cached_batch_does_not_wait_on_the_lock(self, tmp_path, toy_kind):
+        pool = ExperimentPool(store=ResultStore(tmp_path), jobs=1)
+        memo = {}
+        cached = _specs([1, 2])
+        stored = _specs([3])
+        pool.run_many(cached, memo=memo)
+        pool.run_many(stored)  # persisted, but not in this memo
+
+        outcomes = {}
+
+        def cached_batch():
+            outcomes["results"] = pool.run_many(cached + stored, memo=memo)
+            outcomes["telemetry"] = pool.telemetry
+
+        # Held here the way a computing batch holds it, for the whole wait.
+        with pool.lock:
+            thread = threading.Thread(target=cached_batch)
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive(), "cached batch waited on the lock"
+        assert set(outcomes["results"]) == set(cached + stored)
+        telemetry = outcomes["telemetry"]
+        assert telemetry.memory_hits == 2 and telemetry.store_hits == 1
+        assert telemetry.computed == 0
+
+    def test_spec_resolved_after_lookup_is_served_from_memo(self, gated_kind):
+        pool = ExperimentPool(store=None, jobs=1)
+        memo = {}
+        spec = _specs([1])[0]
+        outcomes = {}
+
+        def first():
+            outcomes["first"] = pool.run_many([spec], memo=memo)[spec]
+
+        owner = threading.Thread(target=first)
+        owner.start()
+        assert _AT_GATE.wait(timeout=10)  # owner holds the lock, mid-compute
+
+        looked_up = threading.Event()
+        lookup = pool.lookup
+
+        def spied_lookup(*args, **kwargs):
+            found = lookup(*args, **kwargs)
+            looked_up.set()
+            return found
+
+        pool.lookup = spied_lookup
+
+        def second():
+            outcomes["second"] = pool.run_many([spec], memo=memo)[spec]
+            outcomes["telemetry"] = pool.telemetry
+
+        follower = threading.Thread(target=second)
+        follower.start()
+        # The follower's lookup misses (nothing is resolved yet); only
+        # then does the owner finish and fill the memo.
+        assert looked_up.wait(timeout=10)
+        _GATE.set()
+        owner.join(timeout=30)
+        follower.join(timeout=30)
+
+        assert _COMPUTED == [spec]  # exactly once
+        assert outcomes["second"] == outcomes["first"]
+        telemetry = outcomes["telemetry"]
+        assert telemetry.memory_hits == 1 and telemetry.computed == 0

@@ -1,6 +1,7 @@
 """ResultStore: round-trips, atomicity, corruption tolerance, maintenance."""
 
 import json
+import threading
 
 import pytest
 
@@ -60,6 +61,31 @@ class TestRoundTrip:
         store.put(make_key(), make_stats())
         leftovers = [p for p in store.root.rglob(".tmp-*")]
         assert leftovers == []
+
+
+class TestConcurrentReads:
+    def test_counters_exact_under_concurrent_gets(self, store):
+        """N threads x M gets count exactly N*M reads, hits plus misses."""
+        keys = [make_key(size=f"{2 ** power}KB") for power in range(4)]
+        for key in keys[::2]:
+            store.put(key, make_stats())
+        threads_n, gets_m = 8, 200
+        barrier = threading.Barrier(threads_n)
+
+        def reader():
+            barrier.wait()
+            for index in range(gets_m):
+                store.get(keys[index % len(keys)])
+
+        threads = [threading.Thread(target=reader) for _ in range(threads_n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        telemetry = store.telemetry
+        assert telemetry.hits + telemetry.misses == threads_n * gets_m
+        assert telemetry.hits == telemetry.misses == threads_n * gets_m // 2
+        assert telemetry.corrupt == 0
 
 
 class TestCorruptionTolerance:

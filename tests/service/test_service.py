@@ -4,7 +4,8 @@ The acceptance bar for the experiment service: results served over the
 wire are bit-identical to a local pool run; overlapping submissions from
 concurrent clients coalesce onto one computation (proved by an
 exactly-once counter and the ``coalesced`` telemetry); a warm restart
-serves the same job entirely from the store; the queue bound surfaces as
+serves the same job entirely from the store; a job served from memo or
+store finishes while another job computes; the queue bound surfaces as
 HTTP 429 and drain as HTTP 503; and a drain finishes accepted jobs.
 
 Every server here binds port 0 (ephemeral) and uses a per-test store
@@ -12,6 +13,7 @@ directory, so tests neither collide with each other nor depend on
 externally free ports.
 """
 
+import http.client
 import threading
 import time
 
@@ -262,6 +264,65 @@ class TestCoalescing:
             assert pairs[spec] == stats
 
 
+def _write_cache_specs(entries=(2, 4)):
+    return [
+        ExperimentSpec(
+            "write_cache", "ccom", SCALE, SEED, WriteCacheConfig(entries=count)
+        )
+        for count in entries
+    ]
+
+
+class TestCachedJobsSkipTheLock:
+    @pytest.mark.parametrize("warm_from", ["memo", "store"])
+    def test_cached_job_finishes_while_another_computes(
+        self, serve, gated_kind, tmp_path, warm_from
+    ):
+        cached = specs_request(_write_cache_specs())
+        if warm_from == "store":
+            ExperimentPool(store=ResultStore(tmp_path / "store"), jobs=1).run_many(
+                _write_cache_specs()
+            )
+        service, _, client = serve(workers=2)
+        if warm_from == "memo":
+            client.wait(client.submit(cached)["id"])
+
+        # Job A holds the pool lock, computing at the closed gate.
+        job_a = client.submit(specs_request(_gated_specs([1])))
+        assert _wait_until(lambda: service.pool.callback is not None)
+        held_callback = service.pool.callback
+
+        job_b = client.submit(cached)
+        assert _wait_until(lambda: client.job(job_b["id"])["state"] == "done")
+        assert client.job(job_a["id"])["state"] == "running"
+        assert _COMPUTED == []
+        assert service.pool.callback is held_callback  # B never swapped it
+        _, telemetry = client.result(job_b["id"])
+        assert telemetry.computed == 0
+        hits = telemetry.memory_hits if warm_from == "memo" else telemetry.store_hits
+        assert hits == 2
+
+        _GATE.set()
+        assert client.wait(job_a["id"])["state"] == "done"
+        assert len(_COMPUTED) == 1
+
+    def test_lookup_only_job_telemetry(self, serve):
+        _, _, client = serve()
+        cached = specs_request(_write_cache_specs())
+        client.wait(client.submit(cached)["id"])
+        before = client.telemetry()["pool"]
+        again = client.submit(cached)
+        terminal = list(client.events(again["id"]))[-1]
+        _, result = client.result(again["id"])
+        after = client.telemetry()["pool"]
+        delta = {name: after[name] - before[name] for name in after}
+        assert terminal["state"] == "done"
+        for counters in (terminal["telemetry"], result.to_dict(), delta):
+            assert counters["computed"] == 0
+            assert counters["memory_hits"] + counters["store_hits"] == 2
+            assert counters["deduplicated"] == 2
+
+
 class TestBackPressureAndDrain:
     def test_queue_full_surfaces_as_429(self, serve, gated_kind):
         _, _, client = serve(workers=1, queue_depth=2)
@@ -350,6 +411,23 @@ class TestHttpSurface:
         with pytest.raises(ServiceError) as excinfo:
             client.job("job-999999")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("path", ["/v1/jobs", "/v1/traces"])
+    @pytest.mark.parametrize("length", ["abc", "-1"])
+    def test_bad_content_length_gets_400(self, serve, path, length):
+        _, server, _ = serve()
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=10
+        )
+        try:
+            connection.putrequest("POST", path)
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in response.read().decode("utf-8")
+        finally:
+            connection.close()
 
     def test_telemetry_endpoint_reports_counters(self, serve):
         service, _, client = serve()
