@@ -930,44 +930,24 @@ def _command_jobs(args) -> int:
 
 
 def _command_watch(args) -> int:
-    from repro.exec.pool import RunEvent
+    from repro.exec.pool import PoolTelemetry, RunEvent, verbose_reporter
     from repro.service.client import ServiceClient, ServiceError
 
     url = _service_url(args)
     client = ServiceClient(url)
-    labels = {
-        "memory": "memo ",
-        "store": "store",
-        "computed": "sim  ",
-        "retry": "retry",
-        "timeout": "stall",
-        "coalesced": "share",
-    }
+    report = verbose_reporter(sys.stdout)
     state = "unknown"
     try:
         for payload in client.events(args.job, start=args.start):
             kind = payload.pop("type", None)
             if kind == "run":
-                event = RunEvent.from_dict(payload)
-                label = labels.get(event.source, event.source)
-                timing = (
-                    f" ({event.seconds:.2f}s)"
-                    if event.source == "computed"
-                    else ""
-                )
-                suffix = " [degraded]" if event.degraded else ""
-                print(
-                    f"[{event.completed}/{event.total}] {label} "
-                    f"{event.key.describe()}{timing}{suffix}"
-                )
+                report(RunEvent.from_dict(payload))
             elif kind == "job":
                 state = payload.get("state", state)
                 line = f"job {payload.get('id', args.job)}: {state}"
                 if payload.get("error"):
                     line += f" ({payload['error']})"
                 if "telemetry" in payload:
-                    from repro.exec.pool import PoolTelemetry
-
                     telemetry = PoolTelemetry.from_dict(payload["telemetry"])
                     line += (
                         f" — telemetry: {telemetry.line()} "

@@ -119,11 +119,9 @@ def prefetch(
     memo/store/computed counts.
     """
     pool = ExperimentPool(
-        store=get_store(),
-        jobs=default_jobs() if jobs is None else jobs,
-        callback=callback,
+        store=get_store(), jobs=default_jobs() if jobs is None else jobs
     )
-    pool.run_many(keys, memo=_run_cache)
+    pool.run_many(keys, memo=_run_cache, callback=callback)
     return pool.telemetry
 
 

@@ -46,24 +46,21 @@ class ExperimentKind:
     stats_type: type
     engine_version: str
     schema_version: int = 1
-    #: Optional ``batch_runner(specs, trace) -> [stats, ...]`` for kinds
-    #: whose engine can amortise trace passes across several specs that
-    #: share one trace (see ``repro.cache.fastsim.simulate_trace_batch``).
-    #: Must return results in spec order, each bit-identical to
-    #: ``runner(spec, trace)``; the pool only groups specs that agree on
-    #: ``(workload, scale, seed, flush)``.  The pool's degradation ladder
+    #: Optional ``batch_runner(specs, trace) -> ([stats, ...], counters)``
+    #: for kinds whose engine can amortise trace passes across several
+    #: specs that share one trace (see
+    #: ``repro.cache.fastsim.simulate_trace_batch_info``).  Must return
+    #: results in spec order, each bit-identical to ``runner(spec, trace)``,
+    #: plus a dict of dispatch counters (``profiled_runs``,
+    #: ``profile_passes``, ``hier_vector_runs``) the pool folds into
+    #: :class:`~repro.exec.pool.PoolTelemetry`.  The pool only groups specs
+    #: that agree on ``(workload, scale, seed, flush)``, and runs a lone
+    #: spec of the kind as a grid of one.  The pool's degradation ladder
     #: may re-dispatch any contiguous *sub-list* of a failed group (batch
     #: bisection), so a batch runner must accept arbitrary subsets of a
     #: grid it has seen before — never assume a fixed grid shape or carry
     #: state between calls beyond caches keyed by the inputs themselves.
     batch_runner: Optional[Callable] = None
-    #: Optional ``info_batch_runner(specs, trace) -> ([stats, ...], dict)``
-    #: — a batch runner that also reports dispatch counters (currently
-    #: ``profiled_runs``/``profile_passes`` from reuse-distance ladder
-    #: collapses).  The stats list must be exactly what ``batch_runner``
-    #: would return; the pool prefers this entry point when present and
-    #: folds the counters into :class:`~repro.exec.pool.PoolTelemetry`.
-    info_batch_runner: Optional[Callable] = None
     #: Optional config class with ``to_dict``/``from_dict``; kinds that
     #: register one can round-trip whole :class:`ExperimentSpec`\ s through
     #: JSON (the experiment service's wire format).  Kinds without one
@@ -92,7 +89,6 @@ def register_runner(
     schema_version: int = 1,
     replace: bool = False,
     batch_runner: Optional[Callable] = None,
-    info_batch_runner: Optional[Callable] = None,
     config_type: Optional[type] = None,
 ) -> ExperimentKind:
     """Register (or, with ``replace``, override) an experiment kind.
@@ -119,12 +115,6 @@ def register_runner(
                 raise ConfigurationError(
                     f"config type {config_type.__name__} lacks {method}()"
                 )
-    if info_batch_runner is not None and batch_runner is None:
-        raise ConfigurationError(
-            f"kind {name!r} registers info_batch_runner without batch_runner; "
-            "batch grouping keys off batch_runner, so the info entry point "
-            "would never be reached"
-        )
     if not replace and name in _REGISTRY:
         raise ConfigurationError(f"experiment kind {name!r} is already registered")
     kind = ExperimentKind(
@@ -134,7 +124,6 @@ def register_runner(
         engine_version=str(engine_version),
         schema_version=schema_version,
         batch_runner=batch_runner,
-        info_batch_runner=info_batch_runner,
         config_type=config_type,
     )
     _REGISTRY[name] = kind

@@ -9,10 +9,13 @@ kind's registered runner (see :mod:`repro.exec.experiments`) — inline for
 ``jobs=1``, or fanned out across a ``ProcessPoolExecutor`` for
 ``jobs>1``.  Duplicate specs are collapsed before any work is scheduled,
 freshly computed results are persisted as they stream back, and every
-resolution emits a :class:`RunEvent` through a pluggable callback (see
-:func:`verbose_reporter` for the ``--verbose`` CLI hook).  The memo and
-store tiers (:meth:`ExperimentPool.lookup`) run without the pool lock, so
-a batch that needs no computation never waits on one that does.
+resolution emits a :class:`RunEvent` through the callback the caller
+passes to :meth:`~ExperimentPool.run_many` (see :func:`verbose_reporter`
+for the ``--verbose`` CLI hook).  The memo and store tiers
+(:meth:`ExperimentPool.lookup`) run without the pool lock, so a batch
+that needs no computation never waits on one that does; the compute
+phase runs under the lock, after a second memo check, so concurrent
+callers compute each spec exactly once.
 
 Traces travel to workers as zero-copy shared-memory pages
 (:mod:`repro.exec.shm`): the parent builds each distinct trace once and
@@ -25,7 +28,7 @@ results are bit-identical to serial execution, which the test suite
 enforces per kind.
 
 Kinds that register a batch runner (the ``cache`` kind does, via
-``repro.cache.fastsim.simulate_trace_batch``) get *batched dispatch*:
+``repro.cache.fastsim.simulate_trace_batch_info``) get *batched dispatch*:
 pending misses of such a kind that agree on ``(workload, scale, seed,
 flush)`` travel to a worker as one task, so the batched kernel shares
 the trace-side passes across the whole configuration grid.  Results stay
@@ -162,16 +165,18 @@ def default_task_timeout() -> Optional[float]:
 class RunEvent:
     """One resolution or recovery step, reported through the callback.
 
-    ``source`` is ``"memory"``/``"store"``/``"computed"`` for resolutions
-    (these advance ``completed``) and ``"retry"``/``"timeout"`` for
-    recoveries (these do not — a retried run is never reported as two
-    completions).  ``attempt`` is the 1-based try number the event refers
-    to: the failed try for a recovery event, the successful try for a
-    resolution.  ``degraded`` marks work resolved through a degraded path
-    (a bisected batch half or the serial-inline fallback).
+    ``source`` is ``"memory"``/``"store"``/``"computed"``/``"coalesced"``
+    for resolutions (these advance ``completed``; ``coalesced`` marks a
+    spec another caller computed while this batch waited on the pool
+    lock) and ``"retry"``/``"timeout"`` for recoveries (these do not — a
+    retried run is never reported as two completions).  ``attempt`` is
+    the 1-based try number the event refers to: the failed try for a
+    recovery event, the successful try for a resolution.  ``degraded``
+    marks work resolved through a degraded path (a bisected batch half or
+    the serial-inline fallback).
     """
 
-    source: str  #: "memory", "store", "computed", "retry" or "timeout"
+    source: str  #: "memory", "store", "computed", "coalesced", "retry", "timeout"
     key: ExperimentSpec
     seconds: float  #: simulation wall-time (0 for memory/store hits)
     completed: int  #: runs resolved so far, this batch
@@ -295,12 +300,6 @@ def aggregate_telemetry() -> PoolTelemetry:
     return _aggregate
 
 
-def add_to_aggregate(telemetry: PoolTelemetry) -> None:
-    """Fold one batch's counters into the process-wide total."""
-    with _aggregate_lock:
-        _aggregate.add(telemetry)
-
-
 def reset_aggregate_telemetry() -> PoolTelemetry:
     """Zero the process-wide total; returns the new (empty) instance."""
     global _aggregate
@@ -330,7 +329,24 @@ class _Task:
         return _Task(self.specs, self.batched, degraded=True, inline=True)
 
 
-def _execute(spec: ExperimentSpec, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int]]:
+def _run_one(spec: ExperimentSpec, trace) -> Tuple[object, float, Optional[dict]]:
+    """Run one spec; returns ``(stats, seconds, counters)``.
+
+    A kind with a batch runner runs the spec as a grid of one, so its
+    dispatch counters (``hier_vector_runs`` and the like) reach telemetry
+    on the single-spec route too; other kinds go through their per-spec
+    runner and report no counters.
+    """
+    kind = get_kind(spec.kind)
+    started = time.perf_counter()
+    if kind.batch_runner is None:
+        stats, counters = kind.runner(spec, trace), None
+    else:
+        (stats,), counters = kind.batch_runner([spec], trace)
+    return stats, time.perf_counter() - started, counters
+
+
+def _execute(spec: ExperimentSpec, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int], Optional[dict]]:
     """Run one experiment; used both inline and inside worker processes.
 
     Dispatches through the kind registry, so worker processes resolve the
@@ -338,24 +354,17 @@ def _execute(spec: ExperimentSpec, attempt: int = 0, plan=None) -> Tuple[object,
     lookup in each process).  ``plan`` is the active fault plan (None in
     production — every fault hook then reduces to a single ``is None``
     test); the returned checksum seals the honest payload so the parent
-    can detect results corrupted in transit.
+    can detect results corrupted in transit.  The last element is the
+    kind's dispatch counters (see :func:`_run_one`).
     """
     from repro.trace.corpus import load
 
-    runner = get_kind(spec.kind).runner
     faults_module.fire_execution_fault(plan, spec, attempt)
     trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
-    started = time.perf_counter()
-    stats = runner(spec, trace)
-    seconds = time.perf_counter() - started
-    checksum = None
-    if plan is not None:
-        checksum = faults_module.result_checksum(stats)
-        stats = faults_module.corrupt_result(plan, spec, attempt, stats)
-    return stats, seconds, checksum
+    return _sealed(spec, attempt, plan, *_run_one(spec, trace))
 
 
-def _execute_shared(spec: ExperimentSpec, handle, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int]]:
+def _execute_shared(spec: ExperimentSpec, handle, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int], Optional[dict]]:
     """Run one experiment against a trace shipped in shared memory.
 
     Falls back to regenerating the trace if the page cannot be mapped or
@@ -366,20 +375,22 @@ def _execute_shared(spec: ExperimentSpec, handle, attempt: int = 0, plan=None) -
     from repro.exec.shm import attach_trace
     from repro.trace.corpus import load
 
-    runner = get_kind(spec.kind).runner
     faults_module.fire_execution_fault(plan, spec, attempt)
     try:
         trace = attach_trace(handle)
     except (OSError, ValueError):
         trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
-    started = time.perf_counter()
-    stats = runner(spec, trace)
-    seconds = time.perf_counter() - started
+    return _sealed(spec, attempt, plan, *_run_one(spec, trace))
+
+
+def _sealed(spec, attempt, plan, stats, seconds, counters):
+    """A single-spec payload, checksummed (and maybe corrupted) under a
+    fault plan."""
     checksum = None
     if plan is not None:
         checksum = faults_module.result_checksum(stats)
         stats = faults_module.corrupt_result(plan, spec, attempt, stats)
-    return stats, seconds, checksum
+    return stats, seconds, checksum, counters
 
 
 def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float, Optional[list], Optional[dict]]:
@@ -390,9 +401,8 @@ def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float
     with ``specs`` for fault decisions.  Returns the per-spec stats list
     in spec order, the wall-time of the whole batched call, per-spec
     integrity checksums when a fault plan is active, and the kind's
-    dispatch counters (``None`` for kinds without an
-    ``info_batch_runner``) — a plain dict so the tuple pickles cleanly
-    back from worker processes.
+    dispatch counters — a plain dict so the tuple pickles cleanly back
+    from worker processes.
     """
     from repro.trace.corpus import load
 
@@ -414,12 +424,8 @@ def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float
         spec = specs[0]
         trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
     started = time.perf_counter()
-    if kind.info_batch_runner is not None:
-        stats_list, info = kind.info_batch_runner(specs, trace)
-        stats_list = list(stats_list)
-    else:
-        stats_list = list(kind.batch_runner(specs, trace))
-        info = None
+    stats_list, counters = kind.batch_runner(specs, trace)
+    stats_list = list(stats_list)
     seconds = time.perf_counter() - started
     if len(stats_list) != len(specs):
         raise RuntimeError(
@@ -433,7 +439,7 @@ def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float
             faults_module.corrupt_result(plan, spec, attempt, stats)
             for spec, attempt, stats in zip(specs, attempts, stats_list)
         ]
-    return stats_list, seconds, checksums, info
+    return stats_list, seconds, checksums, counters
 
 
 def _abandon_executor(executor) -> None:
@@ -479,6 +485,7 @@ def verbose_reporter(stream=None) -> Callable[[RunEvent], None]:
             "memory": "memo ",
             "store": "store",
             "computed": "sim  ",
+            "coalesced": "share",
             "retry": "retry",
             "timeout": "stall",
         }[event.source]
@@ -514,7 +521,6 @@ class ExperimentPool:
         self,
         store: Optional[ResultStore] = None,
         jobs: int = 1,
-        callback: Optional[Callable[[RunEvent], None]] = None,
         retries: Optional[int] = None,
         task_timeout: Optional[float] = None,
         backoff: Optional[float] = None,
@@ -522,7 +528,6 @@ class ExperimentPool:
     ) -> None:
         self.store = store
         self.jobs = max(1, jobs)
-        self.callback = callback
         self.retries = default_retries() if retries is None else max(0, retries)
         self.task_timeout = (
             default_task_timeout() if task_timeout is None else task_timeout
@@ -538,9 +543,8 @@ class ExperimentPool:
         self._last = threading.local()
         # Serializes the compute phase of run_many(): concurrent callers
         # (the experiment service's job workers) queue here for worker
-        # processes, never for memo or store reads.  Reentrant so a caller
-        # may hold it across a batch it sets the callback for.
-        self._lock = threading.RLock()
+        # processes, never for memo or store reads.
+        self._lock = threading.Lock()
 
     @property
     def telemetry(self) -> PoolTelemetry:
@@ -581,8 +585,8 @@ class ExperimentPool:
         Specs of a kind with a registered batch runner group by
         ``(kind, workload, scale, seed, flush)`` — everything a batch
         runner is allowed to assume is shared.  Only groups of two or
-        more become batched tasks; a group of one gains nothing from the
-        batch entry point, so it stays on the plain per-run path.
+        more become batched tasks; a group of one runs as a single task
+        (see :func:`_run_one`).
         """
         groups: Dict[tuple, list] = {}
         singles = []
@@ -619,28 +623,13 @@ class ExperimentPool:
             telemetry.degraded_runs += 1
             return False
 
-    @property
-    def lock(self) -> "threading.RLock":
-        """The reentrant lock serializing this pool's compute phases.
-
-        Only computation takes it; :meth:`lookup` and batches it fully
-        resolves never do.  A caller that must keep other batches from
-        computing while it changes shared state (the service swapping
-        :attr:`callback`) holds it across its own batch::
-
-            with pool.lock:
-                pool.callback = reporter
-                results = pool.run_many(specs, memo=memo)
-        """
-        return self._lock
-
     def lookup(
         self,
         keys: Iterable[ExperimentSpec],
         memo: Optional[Dict[ExperimentSpec, object]] = None,
         callback: Optional[Callable[[RunEvent], None]] = None,
     ) -> Tuple[Dict[ExperimentSpec, object], List[ExperimentSpec], PoolTelemetry]:
-        """Resolve what is already known, without taking :attr:`lock`.
+        """Resolve what is already known, without taking the pool lock.
 
         Deduplicates ``keys``, serves each from ``memo`` and then from the
         store (a store hit is copied into ``memo``), and reports every hit
@@ -685,26 +674,28 @@ class ExperimentPool:
         self,
         keys: Iterable[ExperimentSpec],
         memo: Optional[Dict[ExperimentSpec, object]] = None,
+        callback: Optional[Callable[[RunEvent], None]] = None,
     ) -> Dict[ExperimentSpec, object]:
         """Resolve every spec; returns results in first-seen spec order.
 
         ``memo`` is consulted first and updated in place (the runner passes
         its per-process cache so pool results feed subsequent ``run()``
-        calls for free).  Telemetry covers exactly this batch and is read
-        back through :attr:`telemetry` on the calling thread; the
-        process-wide :func:`aggregate_telemetry` accumulates across
-        batches.
+        calls for free).  ``callback`` receives one :class:`RunEvent` per
+        resolution or recovery of this batch.  Telemetry covers exactly
+        this batch and is read back through :attr:`telemetry` on the
+        calling thread; the process-wide :func:`aggregate_telemetry`
+        accumulates across batches.
 
         Thread-safe: :meth:`lookup` runs without the lock, and only a batch
-        with specs left to compute takes :attr:`lock`, so a batch served
-        wholly from memo or store never waits on another thread's
-        computation.  Under the lock the memo is checked again, because
-        another thread may have computed a pending spec in between — that
-        check keeps computation exactly-once.
+        with specs left to compute takes it, so a batch served wholly from
+        memo or store never waits on another thread's computation.  Under
+        the lock the memo is checked again, because another thread may
+        have computed a pending spec in between; such a spec counts as a
+        memory hit and is reported as ``coalesced``.  That check keeps
+        computation exactly-once.
         """
         started = time.perf_counter()
         requested = list(keys)
-        callback = self.callback
         results, pending, telemetry = self.lookup(requested, memo, callback)
         if pending:
             with self._lock:
@@ -717,12 +708,13 @@ class ExperimentPool:
                         continue
                     results[key] = stats
                     telemetry.memory_hits += 1
-                    _emit(callback, "memory", key, 0.0, len(results), total)
+                    _emit(callback, "coalesced", key, 0.0, len(results), total)
                 if missing:
                     self._resolve_pending(missing, results, memo, telemetry, callback)
         telemetry.wall_seconds = time.perf_counter() - started
         self._last.telemetry = telemetry
-        add_to_aggregate(telemetry)
+        with _aggregate_lock:
+            _aggregate.add(telemetry)
         if pending:  # computed specs joined after the hits: first-seen order
             results = {key: results[key] for key in dict.fromkeys(requested)}
         return results
@@ -758,32 +750,36 @@ class ExperimentPool:
                 degraded=bool(task is not None and task.degraded),
             )
 
-        def resolve_batch(task, stats_list, seconds, info=None):
-            telemetry.batches += 1
-            telemetry.batched_runs += len(task.specs)
-            if info:
-                telemetry.profiled_runs += int(info.get("profiled_runs", 0))
-                telemetry.profile_passes += int(info.get("profile_passes", 0))
-                telemetry.hier_vector_runs += int(info.get("hier_vector_runs", 0))
-            # The batched call is one timed unit; attribute its wall-time
-            # evenly so per-run sim_seconds still sum to engine time.
-            share = seconds / len(task.specs)
-            for spec, stats in zip(task.specs, stats_list):
-                resolve(spec, stats, share, task)
+        def count(counters):
+            if counters:
+                telemetry.profiled_runs += int(counters.get("profiled_runs", 0))
+                telemetry.profile_passes += int(counters.get("profile_passes", 0))
+                telemetry.hier_vector_runs += int(
+                    counters.get("hier_vector_runs", 0)
+                )
 
         def deliver(task, payload):
             """Verify a task's payload and resolve it; raises on corruption."""
             if task.batched:
-                stats_list, seconds, checksums, info = payload
+                stats_list, seconds, checksums, counters = payload
                 if checksums is not None:
                     for spec, stats, checksum in zip(
                         task.specs, stats_list, checksums
                     ):
                         faults_module.verify_result(spec, stats, checksum)
-                resolve_batch(task, stats_list, seconds, info)
+                telemetry.batches += 1
+                telemetry.batched_runs += len(task.specs)
+                count(counters)
+                # The batched call is one timed unit; attribute its
+                # wall-time evenly so per-run sim_seconds still sum to
+                # engine time.
+                share = seconds / len(task.specs)
+                for spec, stats in zip(task.specs, stats_list):
+                    resolve(spec, stats, share, task)
             else:
-                stats, seconds, checksum = payload
+                stats, seconds, checksum, counters = payload
                 faults_module.verify_result(task.specs[0], stats, checksum)
+                count(counters)
                 resolve(task.specs[0], stats, seconds, task)
 
         def execute_inline(task):

@@ -33,7 +33,6 @@ from repro.cache.config import CacheConfig
 from repro.cache.fastsim import (
     SIMULATOR_VERSION,
     simulate_trace,
-    simulate_trace_batch,
     simulate_trace_batch_info,
 )
 from repro.cache.stats import CacheStats
@@ -52,32 +51,25 @@ def run_cache(spec, trace):
     return simulate_trace(trace, spec.config, flush=spec.flush)
 
 
-def run_cache_batch(specs, trace):
+def run_cache_grid(specs, trace):
     """A grid of L1 cache runs sharing one trace's vectorised passes.
 
-    The pool only groups specs that agree on ``(workload, scale, seed,
-    flush)``, so one ``flush`` value covers the batch — and that
-    invariant survives batch bisection, since any sub-list of a uniform
-    group is itself uniform.  ``simulate_trace_batch`` carries no state
-    between calls beyond caches keyed by its inputs, so re-dispatching a
-    bisected half stays bit-identical to the original grid.
+    Returns ``(stats_list, counters)``: the per-spec stats in spec order
+    and how many runs were served from reuse-distance ladder profiles and
+    how many profiling passes were paid (see
+    :func:`repro.cache.fastsim.simulate_trace_batch_info`).  The pool only
+    groups specs that agree on ``(workload, scale, seed, flush)``, so one
+    ``flush`` value covers the grid — and that invariant survives batch
+    bisection, since any sub-list of a uniform group is itself uniform.
+    The batched kernels carry no state between calls beyond caches keyed
+    by their inputs, so re-dispatching a bisected half stays
+    bit-identical to the original grid.
+
+    A grid of one stays on :func:`run_cache`: it shares nothing, and the
+    per-spec route's fresh vecsim plan is not retained in the plan cache.
     """
-    flush = specs[0].flush
-    assert all(spec.flush == flush for spec in specs)
-    return simulate_trace_batch(trace, [spec.config for spec in specs], flush=flush)
-
-
-def run_cache_batch_info(specs, trace):
-    """:func:`run_cache_batch` plus dispatch counters for telemetry.
-
-    Returns ``(stats_list, counters)`` where ``counters`` reports how
-    many runs were served from reuse-distance ladder profiles and how
-    many profiling passes were paid (see
-    :func:`repro.cache.fastsim.simulate_trace_batch_info`).  The stats
-    list is bit-identical to :func:`run_cache_batch` — the profiler is a
-    routing decision, not a semantic one — so batch bisection may mix
-    the two entry points freely.
-    """
+    if len(specs) == 1:
+        return [run_cache(specs[0], trace)], {}
     flush = specs[0].flush
     assert all(spec.flush == flush for spec in specs)
     results, info = simulate_trace_batch_info(
@@ -111,28 +103,14 @@ def run_system(spec, trace):
     return simulate_system(trace, spec.config, flush=spec.flush)
 
 
-def run_system_batch(specs, trace):
+def run_system_grid(specs, trace):
     """A grid of hierarchy runs sharing one trace's vectorised passes.
 
-    Same grouping invariant as :func:`run_cache_batch`: the pool only
-    groups specs agreeing on ``(workload, scale, seed, flush)``, and any
-    sub-list of a uniform group is itself uniform, so batch bisection
-    re-dispatches stay bit-identical.
-    """
-    flush = specs[0].flush
-    assert all(spec.flush == flush for spec in specs)
-    results, _ = simulate_hierarchy_batch_info(
-        trace, [spec.config for spec in specs], flush=flush
-    )
-    return results
-
-
-def run_system_batch_info(specs, trace):
-    """:func:`run_system_batch` plus dispatch counters for telemetry.
-
-    ``hier_vector_runs`` counts hierarchy runs whose first level went
-    through the vector kernel (fully-composed declines don't count); the
-    pool folds it into :class:`~repro.exec.pool.PoolTelemetry`.
+    Returns ``(stats_list, counters)``; ``hier_vector_runs`` counts runs
+    whose first level went through the vector kernel (fully-composed
+    declines don't count).  Same grouping invariant as
+    :func:`run_cache_grid`: any sub-list of a uniform group is itself
+    uniform, so batch bisection re-dispatches stay bit-identical.
     """
     flush = specs[0].flush
     assert all(spec.flush == flush for spec in specs)
@@ -147,8 +125,7 @@ register_runner(
     run_cache,
     CacheStats,
     SIMULATOR_VERSION,
-    batch_runner=run_cache_batch,
-    info_batch_runner=run_cache_batch_info,
+    batch_runner=run_cache_grid,
     config_type=CacheConfig,
 )
 register_runner(
@@ -180,7 +157,6 @@ register_runner(
     # v2: per-level stats lists + per-boundary meters (the hierarchy
     # refactor); v1 records quarantine on read rather than misdecode.
     schema_version=2,
-    batch_runner=run_system_batch,
-    info_batch_runner=run_system_batch_info,
+    batch_runner=run_system_grid,
     config_type=HierarchyConfig,
 )

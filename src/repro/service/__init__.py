@@ -12,11 +12,11 @@ and one in-flight computation per spec:
   (explicit spec lists or kind/workload-grid/config-grid sweeps, reusing
   :class:`~repro.exec.keys.ExperimentSpec` serde) and job payloads;
 - :mod:`repro.service.queue` — the bounded priority job queue with
-  round-robin fairness across client tokens, the in-flight spec ledger
-  that coalesces overlapping submissions (each spec computed once,
-  counted in the ``coalesced`` telemetry), and the job state machine;
+  round-robin fairness across client tokens, and the job state machine;
 - :mod:`repro.service.app` — :class:`ExperimentService` (job workers
-  over one pool/store) plus the stdlib ``ThreadingHTTPServer`` front end
+  that each resolve a job as one pool batch, so overlapping submissions
+  compute each spec once under the pool lock and the waiting job counts
+  the spec as ``coalesced``) plus the stdlib ``ThreadingHTTPServer`` front end
   (submit with 429 back-pressure, NDJSON event streams, result and
   store-catalog endpoints, graceful drain);
 - :mod:`repro.service.client` — :class:`ServiceClient`, the thin
@@ -48,7 +48,6 @@ from repro.service.queue import (
     QueueFull,
     ServiceDraining,
     ServiceTelemetry,
-    SpecLedger,
 )
 
 __all__ = [
@@ -69,5 +68,4 @@ __all__ = [
     "QueueFull",
     "ServiceDraining",
     "ServiceTelemetry",
-    "SpecLedger",
 ]

@@ -2,16 +2,15 @@
 
 :class:`ExperimentService` is the heart — a fixed crew of worker threads
 pulling jobs off the bounded fair queue (:mod:`repro.service.queue`) and
-resolving each through the shared :class:`~repro.exec.pool.ExperimentPool`
-(memory -> disk -> compute, fanned out across worker processes) with
-cross-client coalescing.  A job first runs the pool's lock-free
-:meth:`~repro.exec.pool.ExperimentPool.lookup` over its specs, so cached
-specs never queue behind another job's computation; ``pool.lock`` covers
-only the compute phase.  It then claims the misses in the
-:class:`~repro.service.queue.SpecLedger`; misses another in-flight job
-already claimed are *subscribed* instead, and resolve from that job's
-computation (counted in the ``coalesced`` telemetry).  Results are
-bit-identical to a local run — the service adds routing, never math.
+resolving each as one :meth:`~repro.exec.pool.ExperimentPool.run_many`
+call on the shared pool (memory -> disk -> compute, fanned out across
+worker processes).  The pool's memo and store lookup takes no lock, so
+cached specs never queue behind another job's computation.  Its compute
+phase runs under the pool lock after a second memo check, so a spec an
+overlapping job computed while this one waited resolves from the memo
+instead of recomputing (a ``coalesced`` event and telemetry count).
+Results are bit-identical to a local run — the service adds routing,
+never math.
 
 :class:`ServiceServer` is the stdlib HTTP front end
 (``http.server.ThreadingHTTPServer``; one thread per connection, safe
@@ -49,7 +48,6 @@ then stops the workers.  ``repro serve`` wires SIGTERM/SIGINT to exactly
 that, so a service under a process manager exits 0 with a healthy store.
 """
 
-import dataclasses
 import json
 import os
 import threading
@@ -60,13 +58,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro.common.errors import ConfigurationError
 from repro.exec.keys import ExperimentSpec
-from repro.exec.pool import (
-    ExperimentPool,
-    RunEvent,
-    add_to_aggregate,
-    default_jobs,
-    env_number,
-)
+from repro.exec.pool import ExperimentPool, RunEvent, default_jobs, env_number
 from repro.exec.store import ResultStore, open_default_store
 from repro.service.protocol import (
     PROTOCOL_VERSION,
@@ -81,7 +73,6 @@ from repro.service.queue import (
     QueueFull,
     ServiceDraining,
     ServiceTelemetry,
-    SpecLedger,
 )
 
 #: Environment variables giving ``repro serve`` (and the client CLI
@@ -131,7 +122,6 @@ class ExperimentService:
         #: Cross-job in-memory result cache (the pool's first lookup tier).
         self.memo: Dict[ExperimentSpec, object] = {}
         self.queue = JobQueue(queue_depth)
-        self.ledger = SpecLedger()
         self.telemetry = ServiceTelemetry()
         self._telemetry_lock = threading.Lock()
         self._jobs: "OrderedDict[str, Job]" = OrderedDict()
@@ -248,14 +238,9 @@ class ExperimentService:
                     self.telemetry.failed += 1
 
     def _run_batch(self, job: Job, specs: List[ExperimentSpec], reporter):
-        """Compute ``specs`` for ``job`` in one locked pool batch; folds
-        its telemetry in."""
-        with self.pool.lock:
-            self.pool.callback = reporter
-            try:
-                results = self.pool.run_many(specs, memo=self.memo)
-            finally:
-                self.pool.callback = None
+        """Resolve ``specs`` for ``job`` in one pool batch; folds its
+        telemetry in."""
+        results = self.pool.run_many(specs, memo=self.memo, callback=reporter)
         job.telemetry.add(self.pool.telemetry)
         return results
 
@@ -269,81 +254,16 @@ class ExperimentService:
                 "specs": len(job.specs),
             }
         )
-        total = len(job.specs)
-        progress_lock = threading.Lock()
-        progress = {"completed": 0}
 
         def reporter(event: RunEvent) -> None:
-            # Re-number pool events to job-level progress: the pool only
-            # sees this job's claimed subset, the stream shows the whole
-            # job (coalesced specs advance the same counter below).
-            advancing = event.source in ("memory", "store", "computed")
-            with progress_lock:
-                if advancing:
-                    progress["completed"] += 1
-                completed = progress["completed"]
-            job.add_event(
-                {
-                    "type": "run",
-                    **dataclasses.replace(
-                        event, completed=completed, total=total
-                    ).to_dict(),
-                }
-            )
-
-        try:
-            results, pending, found = self.pool.lookup(
-                job.specs, self.memo, reporter
-            )
-            # Count only what the lookup resolved: a pending spec is counted
-            # by the batch that computes it, or by the job it coalesces onto.
-            found.requested = found.deduplicated = len(results)
-            job.telemetry.add(found)
-            add_to_aggregate(found)
-            claimed, shared = self.ledger.claim(pending, job.id)
-            if claimed:
-                try:
-                    computed = self._run_batch(job, claimed, reporter)
-                except BaseException as error:
-                    # Never strand a subscriber: a failed claim resolves
-                    # as an error and the subscribers recompute themselves.
-                    for spec in claimed:
-                        self.ledger.release(spec, error)
-                    raise
-                for spec in claimed:
-                    self.ledger.fulfill(spec, computed[spec])
-                results.update(computed)
-
-            orphaned: List[ExperimentSpec] = []
-            for spec, entry in shared.items():
-                while not entry.event.wait(timeout=1.0):
-                    if self._stopping:
-                        raise RuntimeError(
-                            "service stopped while waiting on a shared spec"
-                        )
-                if entry.error is not None:
-                    orphaned.append(spec)
-                    continue
-                results[spec] = entry.stats
+            if event.source == "coalesced":
                 job.coalesced += 1
                 with self._telemetry_lock:
                     self.telemetry.coalesced += 1
-                with progress_lock:
-                    progress["completed"] += 1
-                    completed = progress["completed"]
-                job.add_event(
-                    {
-                        "type": "run",
-                        **RunEvent(
-                            "coalesced", spec, 0.0, completed, total
-                        ).to_dict(),
-                    }
-                )
-            if orphaned:
-                # The owning job failed these specs; compute them here
-                # (the pool's own retry ladder already ran underneath).
-                results.update(self._run_batch(job, orphaned, reporter))
+            job.add_event({"type": "run", **event.to_dict()})
 
+        try:
+            results = self._run_batch(job, job.specs, reporter)
             job.finish([results[spec] for spec in job.specs])
             with self._telemetry_lock:
                 self.telemetry.completed += 1
@@ -399,7 +319,6 @@ class ExperimentService:
             "pool": aggregate_telemetry().to_dict(),
             "queue_depth": len(self.queue),
             "queue_bound": self.queue.depth,
-            "in_flight_specs": len(self.ledger),
             "jobs_by_state": dict(sorted(states.items())),
             "draining": self.draining,
         }

@@ -1,6 +1,6 @@
-"""Job queue, in-flight spec ledger and service telemetry.
+"""Job queue, job state and service telemetry.
 
-Three concerns the HTTP layer should not have to think about live here:
+Two concerns the HTTP layer should not have to think about live here:
 
 - :class:`Job` — one accepted submission's state machine
   (``queued -> running -> done | failed``) with a monotonically growing,
@@ -9,16 +9,12 @@ Three concerns the HTTP layer should not have to think about live here:
 - :class:`JobQueue` — a *bounded* priority queue (full = HTTP 429
   back-pressure) that serves the highest priority first and, within one
   priority level, round-robins across client tokens so one chatty tenant
-  cannot starve the rest;
-- :class:`SpecLedger` — the cross-client coalescing table.  A job claims
-  the specs nobody is currently computing and *subscribes* to the rest;
-  whichever job owns a spec fulfills every subscriber when its result
-  lands.  Claims are atomic per job and jobs only ever wait on earlier
-  claims, so the wait graph is acyclic — no deadlock is possible.
+  cannot starve the rest.
 
 Every counter the service reports rolls up in
 :class:`ServiceTelemetry`; ``coalesced`` is the proof that overlapping
-submissions shared one computation.
+submissions shared one computation (the pool reports a spec another job
+computed while this one waited as a ``coalesced`` run event).
 """
 
 import threading
@@ -77,9 +73,9 @@ class Job:
         self.error: Optional[str] = None
         #: Results in spec order once done (list of stats dataclasses).
         self.results: Optional[List[object]] = None
-        #: Pool counters for the specs this job computed itself.
+        #: Pool counters for this job's batch.
         self.telemetry = PoolTelemetry()
-        #: Specs resolved by joining another job's in-flight computation.
+        #: Specs another job computed while this one waited on the pool.
         self.coalesced = 0
         self.created = time.time()
         self.finished: Optional[float] = None
@@ -242,67 +238,3 @@ class JobQueue:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
-
-
-class _SpecEntry:
-    """One in-flight spec: the owner's promise of a result."""
-
-    __slots__ = ("event", "stats", "error", "owner")
-
-    def __init__(self, owner: str) -> None:
-        self.event = threading.Event()
-        self.stats: Optional[object] = None
-        self.error: Optional[BaseException] = None
-        self.owner = owner
-
-
-class SpecLedger:
-    """The cross-client coalescing table of in-flight computations.
-
-    A worker *claims* its job's specs atomically: specs nobody else is
-    computing become claims (this job will compute and fulfill them);
-    specs another job already claimed come back as subscriptions to that
-    job's entries.  Entries leave the table the moment they resolve, so a
-    later job with the same spec goes to the store (warm) instead of
-    waiting on a spent entry.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: Dict[ExperimentSpec, _SpecEntry] = {}
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def claim(
-        self, specs, owner: str
-    ) -> Tuple[List[ExperimentSpec], Dict[ExperimentSpec, _SpecEntry]]:
-        """Split ``specs`` into (claimed by ``owner``, subscribed)."""
-        claimed: List[ExperimentSpec] = []
-        shared: Dict[ExperimentSpec, _SpecEntry] = {}
-        with self._lock:
-            for spec in specs:
-                entry = self._entries.get(spec)
-                if entry is not None:
-                    shared[spec] = entry
-                else:
-                    self._entries[spec] = _SpecEntry(owner)
-                    claimed.append(spec)
-        return claimed, shared
-
-    def fulfill(self, spec: ExperimentSpec, stats: object) -> None:
-        """Resolve one claimed spec; wakes every subscriber."""
-        with self._lock:
-            entry = self._entries.pop(spec, None)
-        if entry is not None:
-            entry.stats = stats
-            entry.event.set()
-
-    def release(self, spec: ExperimentSpec, error: BaseException) -> None:
-        """Resolve one claimed spec as failed; subscribers recompute."""
-        with self._lock:
-            entry = self._entries.pop(spec, None)
-        if entry is not None:
-            entry.error = error
-            entry.event.set()

@@ -17,6 +17,7 @@ from repro.exec.experiments import get_kind
 from repro.exec.keys import ExperimentSpec, RunKey
 from repro.exec.pool import ExperimentPool
 from repro.exec.store import ResultStore
+from repro.hierarchy.system import HierarchyConfig, LevelConfig
 from repro.trace.corpus import load
 
 SCALE = 0.05
@@ -128,6 +129,42 @@ class TestMixedBatch:
         assert pool.telemetry.batches == 0
         assert pool.telemetry.batched_runs == 0
         assert pool.telemetry.computed == 2
+
+    def test_singleton_cache_spec_skips_the_batched_kernel(self, monkeypatch):
+        from repro.exec import runners
+
+        def batched(*args, **kwargs):
+            raise AssertionError("a lone cache spec took the batched kernel")
+
+        monkeypatch.setattr(runners, "simulate_trace_batch_info", batched)
+        spec = cache_grid("ccom", sizes=(1024,))[0]
+        results = ExperimentPool(store=None, jobs=1).run_many([spec])
+        trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
+        expected = get_kind("cache").runner(spec, trace)
+        assert results[spec].to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("workloads", [("ccom",), ("ccom", "yacc")])
+    def test_singleton_system_specs_count_vector_runs(self, workloads):
+        # One spec per trace: every task is a single, never a batch (two
+        # workloads with jobs=2 also take the worker-process route).
+        two_level = HierarchyConfig(
+            levels=(
+                LevelConfig(cache=CacheConfig(size=8192, line_size=16)),
+                LevelConfig(cache=CacheConfig(size=65536, line_size=32)),
+            )
+        )
+        specs = [
+            ExperimentSpec("system", workload, SCALE, SEED, two_level)
+            for workload in workloads
+        ]
+        pool = ExperimentPool(store=None, jobs=len(specs))
+        results = pool.run_many(specs)
+        assert pool.telemetry.batches == 0
+        assert pool.telemetry.hier_vector_runs == len(specs)
+        for spec in specs:
+            trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
+            expected = get_kind("system").runner(spec, trace)
+            assert results[spec].to_dict() == expected.to_dict()
 
 
 class TestTelemetryLine:

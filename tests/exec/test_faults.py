@@ -184,10 +184,8 @@ class TestBatchBisection:
         poisoned = cache_grid("ccom")[1]
         injected = plan(FaultRule("raise", match=poisoned.canonical()))
         events = []
-        pool = ExperimentPool(
-            store=None, jobs=1, backoff=0.0, faults=injected, callback=events.append
-        )
-        results = pool.run_many(mixed_grid())
+        pool = ExperimentPool(store=None, jobs=1, backoff=0.0, faults=injected)
+        results = pool.run_many(mixed_grid(), callback=events.append)
         assert_bit_identical(results, clean_expected)
         computed = [event for event in events if event.source == "computed"]
         per_spec = {}
@@ -312,10 +310,8 @@ class TestEventStream:
         spec = cache_grid(sizes=(1024,))[0]
         injected = plan(FaultRule("raise", times=2))
         events = []
-        pool = ExperimentPool(
-            store=None, jobs=1, backoff=0.0, faults=injected, callback=events.append
-        )
-        pool.run_many([spec])
+        pool = ExperimentPool(store=None, jobs=1, backoff=0.0, faults=injected)
+        pool.run_many([spec], callback=events.append)
         assert [event.source for event in events] == ["retry", "retry", "computed"]
         assert [event.attempt for event in events] == [1, 2, 3]
         # Retries never advance completion; the resolution does.
@@ -328,14 +324,8 @@ class TestEventStream:
         buffer = io.StringIO()
         spec = cache_grid(sizes=(1024,))[0]
         injected = plan(FaultRule("raise"))
-        pool = ExperimentPool(
-            store=None,
-            jobs=1,
-            backoff=0.0,
-            faults=injected,
-            callback=verbose_reporter(buffer),
-        )
-        pool.run_many([spec])
+        pool = ExperimentPool(store=None, jobs=1, backoff=0.0, faults=injected)
+        pool.run_many([spec], callback=verbose_reporter(buffer))
         lines = buffer.getvalue().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("[0/1] retry")
@@ -347,10 +337,10 @@ class TestEventStream:
         import io
 
         buffer = io.StringIO()
-        pool = ExperimentPool(
-            store=None, jobs=1, callback=verbose_reporter(buffer)
+        pool = ExperimentPool(store=None, jobs=1)
+        pool.run_many(
+            cache_grid(sizes=(1024, 2048)), callback=verbose_reporter(buffer)
         )
-        pool.run_many(cache_grid(sizes=(1024, 2048)))
         for line in buffer.getvalue().splitlines():
             assert "attempt" not in line
             assert "[degraded]" not in line
@@ -360,7 +350,7 @@ class TestZeroOverheadWhenOff:
     def test_no_plan_means_no_checksums(self):
         from repro.exec.pool import _execute
 
-        stats, _, checksum = _execute(cache_grid(sizes=(1024,))[0])
+        stats, _, checksum, _ = _execute(cache_grid(sizes=(1024,))[0])
         assert checksum is None
         assert stats is not None
 

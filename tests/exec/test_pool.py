@@ -89,8 +89,8 @@ def test_memo_consulted_and_filled(store):
 
 def test_callback_sees_every_resolution(store):
     events = []
-    pool = ExperimentPool(store=store, jobs=1, callback=events.append)
-    pool.run_many(GRID)
+    pool = ExperimentPool(store=store, jobs=1)
+    pool.run_many(GRID, callback=events.append)
     unique = len(set(GRID))
     assert len(events) == unique
     assert all(isinstance(event, RunEvent) for event in events)
@@ -103,8 +103,8 @@ def test_verbose_reporter_prints_progress(store):
     import io
 
     buffer = io.StringIO()
-    pool = ExperimentPool(store=store, jobs=1, callback=verbose_reporter(buffer))
-    pool.run_many(GRID[:2])
+    pool = ExperimentPool(store=store, jobs=1)
+    pool.run_many(GRID[:2], callback=verbose_reporter(buffer))
     lines = buffer.getvalue().splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("[1/2] sim")

@@ -1,12 +1,12 @@
 """Thread-safety of :meth:`ExperimentPool.run_many`.
 
 The experiment service drives one pool from several job-worker threads.
-The memo and store lookup runs without the pool's reentrant lock; the
-lock covers only the compute phase.  So concurrent callers must (a) all
-get correct, complete results, (b) read telemetry that describes *their*
-batch, (c) finish a batch that needs no computation while another thread
-holds the lock, and (d) never compute a spec twice, even when another
-thread resolves it between this caller's lookup and its lock.
+The memo and store lookup runs without the pool's lock; the lock covers
+only the compute phase.  So concurrent callers must (a) all get correct,
+complete results, (b) read telemetry that describes *their* batch, (c)
+finish a batch that needs no computation while another thread holds the
+lock, and (d) never compute a spec twice, even when another thread
+resolves it between this caller's lookup and its lock.
 """
 
 import threading
@@ -111,14 +111,10 @@ class TestConcurrentRunMany:
         def worker(offset):
             barrier.wait()
             batch = _specs(range(100 + offset * 5, 100 + offset * 5 + 5))
-            # The documented idiom: hold the pool lock across the batch
-            # and the telemetry read so no other thread's batch can start
-            # in between and overwrite the counters.
-            with pool.lock:
-                pool.run_many(batch)
-                snapshots.append(
-                    PoolTelemetry.from_dict(pool.telemetry.to_dict())
-                )
+            # No lock held: telemetry is per thread, so other threads'
+            # batches finishing in between cannot overwrite this one's.
+            pool.run_many(batch)
+            snapshots.append(PoolTelemetry.from_dict(pool.telemetry.to_dict()))
 
         threads = [
             threading.Thread(target=worker, args=(offset,)) for offset in range(4)
@@ -169,13 +165,19 @@ def gated_kind():
 
 
 class TestLockCoversOnlyCompute:
-    def test_cached_batch_does_not_wait_on_the_lock(self, tmp_path, toy_kind):
-        pool = ExperimentPool(store=ResultStore(tmp_path), jobs=1)
-        memo = {}
+    def test_cached_batch_does_not_wait_on_the_lock(self, tmp_path, gated_kind):
+        store = ResultStore(tmp_path)
+        pool = ExperimentPool(store=store, jobs=1)
         cached = _specs([1, 2])
         stored = _specs([3])
-        pool.run_many(cached, memo=memo)
-        pool.run_many(stored)  # persisted, but not in this memo
+        memo = {spec: _ThreadStats(value=spec.seed) for spec in cached}
+        for spec in stored:
+            store.put(spec, _ThreadStats(value=spec.seed))
+
+        # Another batch holds the lock, computing at the closed gate.
+        computing = threading.Thread(target=pool.run_many, args=(_specs([4]),))
+        computing.start()
+        assert _AT_GATE.wait(timeout=10)
 
         outcomes = {}
 
@@ -183,12 +185,14 @@ class TestLockCoversOnlyCompute:
             outcomes["results"] = pool.run_many(cached + stored, memo=memo)
             outcomes["telemetry"] = pool.telemetry
 
-        # Held here the way a computing batch holds it, for the whole wait.
-        with pool.lock:
-            thread = threading.Thread(target=cached_batch)
-            thread.start()
-            thread.join(timeout=10)
-            assert not thread.is_alive(), "cached batch waited on the lock"
+        thread = threading.Thread(target=cached_batch)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "cached batch waited on the lock"
+        assert _COMPUTED == []
+        _GATE.set()
+        computing.join(timeout=30)
+        assert not computing.is_alive()
         assert set(outcomes["results"]) == set(cached + stored)
         telemetry = outcomes["telemetry"]
         assert telemetry.memory_hits == 2 and telemetry.store_hits == 1
@@ -218,7 +222,10 @@ class TestLockCoversOnlyCompute:
         pool.lookup = spied_lookup
 
         def second():
-            outcomes["second"] = pool.run_many([spec], memo=memo)[spec]
+            outcomes["events"] = []
+            outcomes["second"] = pool.run_many(
+                [spec], memo=memo, callback=outcomes["events"].append
+            )[spec]
             outcomes["telemetry"] = pool.telemetry
 
         follower = threading.Thread(target=second)
@@ -234,3 +241,4 @@ class TestLockCoversOnlyCompute:
         assert outcomes["second"] == outcomes["first"]
         telemetry = outcomes["telemetry"]
         assert telemetry.memory_hits == 1 and telemetry.computed == 0
+        assert [event.source for event in outcomes["events"]] == ["coalesced"]

@@ -62,7 +62,7 @@ class TestRoundTrip:
 class TestWorkerExecution:
     def test_execute_shared_matches_direct(self, published, tiny_trace):
         key = RunKey("unused", 1.0, 0, CacheConfig(size=256, line_size=16))
-        stats, _, checksum = _execute_shared(key, published.handle)
+        stats, _, checksum, _ = _execute_shared(key, published.handle)
         assert checksum is None  # no fault plan: integrity envelope is off
         from repro.cache.fastsim import simulate_trace
 
@@ -74,10 +74,10 @@ class TestWorkerExecution:
         # from the workload generator instead of failing the run.
         handle = shm.SharedTraceHandle("psm_repro_gone", 10, "ccom")
         key = RunKey("ccom", 0.05, 1991, CacheConfig(size=256, line_size=16))
-        stats, _, _ = _execute_shared(key, handle)
+        stats, _, _, _ = _execute_shared(key, handle)
         from repro.exec.pool import _execute
 
-        expected, _, _ = _execute(key)
+        expected, _, _, _ = _execute(key)
         assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
 
 

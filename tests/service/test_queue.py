@@ -1,6 +1,4 @@
-"""Job queue semantics: bounds, priority, fairness; spec-ledger coalescing."""
-
-import threading
+"""Job queue semantics: bounds, priority, fairness."""
 
 import pytest
 
@@ -12,19 +10,12 @@ from repro.service.queue import (
     JobQueue,
     QueueFull,
     ServiceDraining,
-    SpecLedger,
 )
 
 
 def _job(token="t", priority=0):
     spec = ExperimentSpec("write_cache", "ccom", 0.05, 7, WriteCacheConfig())
     return Job(JobRequest(specs=(spec,), priority=priority, token=token))
-
-
-def _spec(entries):
-    return ExperimentSpec(
-        "write_cache", "ccom", 0.05, 7, WriteCacheConfig(entries=entries)
-    )
 
 
 class TestJobQueue:
@@ -78,50 +69,3 @@ class TestJobQueue:
             queue.push(_job())
         assert queue.pop(0.1) is queued
         assert queue.pop(0.1) is None  # closed and empty
-
-
-class TestSpecLedger:
-    def test_claim_then_subscribe(self):
-        ledger = SpecLedger()
-        first, second = _spec(1), _spec(2)
-        claimed, shared = ledger.claim([first, second], owner="job-a")
-        assert claimed == [first, second] and not shared
-        # A second job overlapping on `first` subscribes instead.
-        claimed_b, shared_b = ledger.claim([first, _spec(3)], owner="job-b")
-        assert [spec.config.entries for spec in claimed_b] == [3]
-        assert list(shared_b) == [first]
-        assert shared_b[first].owner == "job-a"
-
-    def test_fulfill_wakes_subscribers_and_clears_entry(self):
-        ledger = SpecLedger()
-        spec = _spec(1)
-        ledger.claim([spec], owner="job-a")
-        _, shared = ledger.claim([spec], owner="job-b")
-        entry = shared[spec]
-        seen = []
-
-        def subscriber():
-            entry.event.wait(timeout=5)
-            seen.append(entry.stats)
-
-        thread = threading.Thread(target=subscriber)
-        thread.start()
-        ledger.fulfill(spec, "stats-sentinel")
-        thread.join(timeout=5)
-        assert seen == ["stats-sentinel"]
-        # The entry left the table: the next claimant computes (and will
-        # hit the warm store), it does not wait on a spent entry.
-        claimed, shared = ledger.claim([spec], owner="job-c")
-        assert claimed == [spec] and not shared
-
-    def test_release_marks_error_for_subscribers(self):
-        ledger = SpecLedger()
-        spec = _spec(1)
-        ledger.claim([spec], owner="job-a")
-        _, shared = ledger.claim([spec], owner="job-b")
-        boom = RuntimeError("boom")
-        ledger.release(spec, boom)
-        entry = shared[spec]
-        assert entry.event.is_set()
-        assert entry.error is boom
-        assert len(ledger) == 0

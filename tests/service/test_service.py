@@ -3,7 +3,8 @@
 The acceptance bar for the experiment service: results served over the
 wire are bit-identical to a local pool run; overlapping submissions from
 concurrent clients coalesce onto one computation (proved by an
-exactly-once counter and the ``coalesced`` telemetry); a warm restart
+exactly-once counter and the ``coalesced`` telemetry), and a job whose
+overlap partner failed computes the shared spec itself; a warm restart
 serves the same job entirely from the store; a job served from memo or
 store finishes while another job computes; the queue bound surfaces as
 HTTP 429 and drain as HTTP 503; and a drain finishes accepted jobs.
@@ -75,15 +76,23 @@ class _GateStats:
 
 
 _GATE = threading.Event()
+_AT_GATE = threading.Event()
 _COMPUTED = []
 _COMPUTED_LOCK = threading.Lock()
+#: spec -> tries left that raise instead of computing.
+_FAILURES = {}
 
 
 def _run_gated(spec, trace):
-    # jobs=1 pools run this inline in the submitting worker thread, so
-    # the module-level gate and counter are shared with the test.
+    # jobs=1 pools run this inline in the submitting worker thread, under
+    # the pool lock, so the module-level gate and counter are shared with
+    # the test.
+    _AT_GATE.set()
     assert _GATE.wait(timeout=30), "test gate never opened"
     with _COMPUTED_LOCK:
+        if _FAILURES.get(spec, 0) > 0:
+            _FAILURES[spec] -= 1
+            raise RuntimeError("deliberate owner failure")
         _COMPUTED.append(spec)
     return _GateStats(value=spec.seed * 10 + len(trace))
 
@@ -91,7 +100,9 @@ def _run_gated(spec, trace):
 @pytest.fixture()
 def gated_kind():
     _GATE.clear()
+    _AT_GATE.clear()
     _COMPUTED.clear()
+    _FAILURES.clear()
     register_runner(
         "gatetoy",
         _run_gated,
@@ -109,6 +120,11 @@ def _gated_specs(seeds):
         ExperimentSpec("gatetoy", "ccom", SCALE, seed, CacheConfig(size=1024))
         for seed in seeds
     ]
+
+
+def _run_events(service, job_id):
+    events, _ = service.job(job_id).wait_events(0, timeout=0)
+    return [event for event in events if event["type"] == "run"]
 
 
 def _wait_until(predicate, timeout=10.0):
@@ -201,20 +217,36 @@ class TestResults:
             client.result(submitted["id"])
 
 
+def _overlap(service, client, specs_a, specs_b):
+    """Hold job A computing at the closed gate, then submit job B.
+
+    B gets ``specs_b`` followed by a memo-primed spec, and this returns
+    once B reported that spec as a ``memory`` hit: B's lookup walked
+    ``specs_b`` before it, and found them pending because the gate is
+    still closed.  Then the gate opens and A finishes while B waits on
+    the pool lock.
+    """
+    primed = _write_cache_specs((3,))
+    client.wait(client.submit(specs_request(primed))["id"])
+    job_a = client.submit(specs_request(specs_a, token="alice"))
+    assert _AT_GATE.wait(timeout=10)  # A holds the pool lock, mid-compute
+    job_b = client.submit(specs_request(specs_b + primed, token="bob"))
+    assert _wait_until(
+        lambda: any(
+            event["source"] == "memory"
+            for event in _run_events(service, job_b["id"])
+        )
+    )
+    _GATE.set()
+    return job_a, job_b
+
+
 class TestCoalescing:
     def test_overlapping_jobs_share_one_computation(self, serve, gated_kind):
         service, _, client = serve(workers=2)
         specs_a = _gated_specs([1, 2])
-        specs_b = _gated_specs([2, 3])  # overlaps on seed 2
-
-        job_a = client.submit(specs_request(specs_a, token="alice"))
-        # Job A must be mid-flight (both specs claimed, runner at the
-        # gate) before B submits, so the overlap is provably concurrent.
-        assert _wait_until(lambda: len(service.ledger) == 2)
-        job_b = client.submit(specs_request(specs_b, token="bob"))
-        assert _wait_until(lambda: len(service.ledger) == 3)
-
-        _GATE.set()
+        specs_b = _gated_specs([2, 3])  # overlaps on seed 2, listed first
+        job_a, job_b = _overlap(service, client, specs_a, specs_b)
         summary_a = client.wait(job_a["id"])
         summary_b = client.wait(job_b["id"])
         assert summary_a["state"] == summary_b["state"] == "done"
@@ -234,7 +266,7 @@ class TestCoalescing:
         stats_b = dict(pairs_b)[shared]
         assert stats_a == stats_b
 
-        # The subscriber's event stream labels the shared spec.
+        # The waiting job's event stream labels the shared spec.
         sources = [
             event["source"]
             for event in client.events(job_b["id"])
@@ -245,15 +277,12 @@ class TestCoalescing:
     def test_coalesced_result_identical_to_serial_run(self, serve, gated_kind):
         """Two overlapping clients vs one serial run: same bits."""
         service, _, client = serve(workers=2)
-        specs_a = _gated_specs([5, 6])
-        specs_b = _gated_specs([6, 7])
-        job_a = client.submit(specs_request(specs_a, token="alice"))
-        assert _wait_until(lambda: len(service.ledger) == 2)
-        job_b = client.submit(specs_request(specs_b, token="bob"))
-        assert _wait_until(lambda: len(service.ledger) == 3)
-        _GATE.set()
+        job_a, job_b = _overlap(
+            service, client, _gated_specs([5, 6]), _gated_specs([6, 7])
+        )
         client.wait(job_a["id"])
         client.wait(job_b["id"])
+        assert client.job(job_b["id"])["coalesced"] == 1
         pairs = dict(client.result(job_a["id"])[0])
         pairs.update(dict(client.result(job_b["id"])[0]))
 
@@ -262,6 +291,24 @@ class TestCoalescing:
         )
         for spec, stats in serial.items():
             assert pairs[spec] == stats
+
+    def test_waiting_job_computes_what_a_failed_owner_left(
+        self, serve, gated_kind
+    ):
+        service, _, client = serve(workers=2)
+        shared = _gated_specs([8])
+        # The owner fails every try its retry budget allows.
+        _FAILURES[shared[0]] = service.pool.retries + 1
+        job_a, job_b = _overlap(service, client, shared, shared)
+        assert client.wait(job_a["id"])["state"] == "failed"
+        summary_b = client.wait(job_b["id"])
+        assert summary_b["state"] == "done"
+        assert summary_b["coalesced"] == 0
+        assert _COMPUTED == shared
+        pairs, telemetry = client.result(job_b["id"])
+        assert telemetry.computed == 1
+        serial = ExperimentPool(store=None, jobs=1).run_many(shared)
+        assert dict(pairs)[shared[0]] == serial[shared[0]]
 
 
 def _write_cache_specs(entries=(2, 4)):
@@ -289,14 +336,12 @@ class TestCachedJobsSkipTheLock:
 
         # Job A holds the pool lock, computing at the closed gate.
         job_a = client.submit(specs_request(_gated_specs([1])))
-        assert _wait_until(lambda: service.pool.callback is not None)
-        held_callback = service.pool.callback
+        assert _AT_GATE.wait(timeout=10)
 
         job_b = client.submit(cached)
         assert _wait_until(lambda: client.job(job_b["id"])["state"] == "done")
         assert client.job(job_a["id"])["state"] == "running"
         assert _COMPUTED == []
-        assert service.pool.callback is held_callback  # B never swapped it
         _, telemetry = client.result(job_b["id"])
         assert telemetry.computed == 0
         hits = telemetry.memory_hits if warm_from == "memo" else telemetry.store_hits
@@ -305,6 +350,11 @@ class TestCachedJobsSkipTheLock:
         _GATE.set()
         assert client.wait(job_a["id"])["state"] == "done"
         assert len(_COMPUTED) == 1
+        # Each job's events report its own specs only.
+        assert [
+            ExperimentSpec.from_dict(event["key"])
+            for event in _run_events(service, job_a["id"])
+        ] == _gated_specs([1])
 
     def test_lookup_only_job_telemetry(self, serve):
         _, _, client = serve()
