@@ -3,9 +3,9 @@
 Two entry points:
 
 - As a pytest-benchmark module: conventional timing benchmarks of every
-  engine (the ``auto`` dispatch, the forced ``vector`` backend, the
-  reference ``Cache``, and trace generation), so regressions in any hot
-  path show up.
+  engine (the ``simulate_trace`` dispatch, a direct
+  ``vecsim.simulate_direct_mapped`` call, the reference ``Cache``, and
+  trace generation), so regressions in any hot path show up.
 
 - As a script (``python benchmarks/bench_simulator.py``): a small smoke
   grid comparing the reference and vector engines across the four
@@ -44,10 +44,10 @@ import pytest
 from repro.cache import vecsim
 from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import simulate_trace, simulate_trace_batch
+from repro.cache.fastsim import simulate_trace, simulate_trace_batch_info
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
-from repro.hierarchy.hiersim import simulate_hierarchy, simulate_hierarchy_batch_info
-from repro.hierarchy.system import HierarchyConfig, LevelConfig
+from repro.hierarchy.hiersim import simulate_hierarchy_batch_info
+from repro.hierarchy.system import CacheSystem, HierarchyConfig, LevelConfig
 from repro.trace.corpus import load
 
 BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_simulator.json"
@@ -124,6 +124,26 @@ def hier_grid():
     ]
 
 
+def reference_run(trace, config):
+    """The reference ``Cache``: run the trace, then flush."""
+    cache = Cache(config)
+    stats = cache.run(trace)
+    cache.flush()
+    return stats
+
+
+def vector_run(trace, config):
+    """The vector kernel, called directly (flush on)."""
+    return vecsim.simulate_direct_mapped(trace, config, True)
+
+
+def composed_run(trace, config):
+    """The composed ``CacheSystem`` — the hierarchy reference path."""
+    system = CacheSystem(config)
+    system.run(trace, flush=True)
+    return system.system_stats()
+
+
 @pytest.fixture(scope="module")
 def trace():
     return load("grr", scale=0.3)
@@ -143,7 +163,7 @@ def test_vector_throughput_write_validate(benchmark, trace):
         write_hit=WriteHitPolicy.WRITE_THROUGH,
         write_miss=WriteMissPolicy.WRITE_VALIDATE,
     )
-    stats = benchmark(simulate_trace, trace, config, backend="vector")
+    stats = benchmark(vector_run, trace, config)
     assert stats.validate_allocations > 0
 
 
@@ -163,7 +183,8 @@ def test_batch_grid_throughput(benchmark, trace):
 
     def run():
         vecsim.clear_plan_cache()
-        return simulate_trace_batch(trace, grid)
+        results, _ = simulate_trace_batch_info(trace, grid)
+        return results
 
     results = benchmark(run)
     assert len(results) == len(grid)
@@ -176,7 +197,8 @@ def test_rdsim_ladder_grid_throughput(benchmark, trace):
 
     def run():
         vecsim.clear_plan_cache()
-        return simulate_trace_batch(trace, grid)
+        results, _ = simulate_trace_batch_info(trace, grid)
+        return results
 
     results = benchmark(run)
     assert len(results) == len(grid)
@@ -208,11 +230,11 @@ def test_trace_generation_throughput(benchmark):
 # ---------------------------------------------------------------------------
 
 
-def _best_refs_per_sec(trace, config, backend, repeats):
+def _best_refs_per_sec(trace, config, engine, repeats):
     best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        simulate_trace(trace, config, backend=backend)
+        engine(trace, config)
         best = min(best, time.perf_counter() - started)
     return len(trace) / best
 
@@ -229,8 +251,8 @@ def run_smoke_grid(workload="grr", scale=0.3, repeats=3):
     }
     for name, hit, miss in SMOKE_CONFIGS:
         config = CacheConfig(size=8192, line_size=16, write_hit=hit, write_miss=miss)
-        reference = _best_refs_per_sec(trace, config, "reference", repeats)
-        vector = _best_refs_per_sec(trace, config, "vector", repeats)
+        reference = _best_refs_per_sec(trace, config, reference_run, repeats)
+        vector = _best_refs_per_sec(trace, config, vector_run, repeats)
         report["configs"][name] = {
             "reference_refs_per_sec": round(reference),
             "vector_refs_per_sec": round(vector),
@@ -298,7 +320,7 @@ def _bench_batch_grid(trace, repeats):
     for _ in range(repeats):
         started = time.perf_counter()
         for config in grid:
-            simulate_trace(trace, config, backend="vector")
+            vector_run(trace, config)
         single_best = min(single_best, time.perf_counter() - started)
 
     batch_best = float("inf")
@@ -322,8 +344,8 @@ def _bench_rdsim_grid(trace, repeats):
 
     Same grid, same cold-start rules (plan cache cleared each round, the
     profiler builds its ladders from scratch), so the speedup is exactly
-    what the default ``auto`` dispatch gains over the previous batched
-    path on the figs 13-16 size sweeps.
+    what ``simulate_trace_batch_info``'s dispatch gains over the plain
+    batched path on the figs 13-16 size sweeps.
     """
     grid = size_ladder_grid()
     grid_refs = len(trace) * len(grid)
@@ -339,7 +361,7 @@ def _bench_rdsim_grid(trace, repeats):
     for _ in range(repeats):
         vecsim.clear_plan_cache()
         started = time.perf_counter()
-        simulate_trace_batch(trace, grid)
+        simulate_trace_batch_info(trace, grid)
         rdsim_best = min(rdsim_best, time.perf_counter() - started)
 
     return {
@@ -354,8 +376,8 @@ def _bench_rdsim_grid(trace, repeats):
 def _bench_hier_grid(trace, repeats):
     """Two-level figure-grid refs/sec: composed reference vs the hierarchy kernel.
 
-    The reference side composes ``CacheSystem`` per config
-    (``backend="reference"``); the vector side runs the same grid through
+    The reference side runs a composed ``CacheSystem`` per config; the
+    vector side runs the same grid through
     ``simulate_hierarchy_batch_info`` with cold plans each round, so its
     speedup honestly includes plan construction and the L0->L1 boundary
     stream materialisation — the full cost a figure render pays.
@@ -370,7 +392,7 @@ def _bench_hier_grid(trace, repeats):
     for _ in range(repeats):
         started = time.perf_counter()
         for config in grid:
-            simulate_hierarchy(trace, config, backend="reference")
+            composed_run(trace, config)
         reference_best = min(reference_best, time.perf_counter() - started)
 
     hier_best = float("inf")
@@ -419,7 +441,7 @@ def measure_fault_gate_overhead(trace, config, repeats=3, calls=100_000):
     sim_best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()
-        simulate_trace(trace, config, backend="vector")
+        vector_run(trace, config)
         sim_best = min(sim_best, time.perf_counter() - started)
 
     return {

@@ -42,7 +42,7 @@ READ_POLICIES = ("ignore", "forward", "drain")
 
 
 @dataclass(frozen=True)
-class WriteBufferConfig:
+class WriteBufferConfig(CounterSerde):
     """Immutable description of one coalescing write buffer experiment."""
 
     entries: int = 8
@@ -73,24 +73,6 @@ class WriteBufferConfig:
             retire_interval=self.retire_interval,
             read_policy=self.read_policy,
         )
-
-    def to_dict(self) -> dict:
-        """JSON-safe payload covering every identity field."""
-        return {
-            "entries": self.entries,
-            "entry_size": self.entry_size,
-            "retire_interval": self.retire_interval,
-            "read_policy": self.read_policy,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WriteBufferConfig":
-        """Inverse of :meth:`to_dict`; unknown keys raise, missing default."""
-        known = {"entries", "entry_size", "retire_interval", "read_policy"}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown WriteBufferConfig fields: {sorted(unknown)}")
-        return cls(**payload)
 
 
 @dataclass

@@ -30,7 +30,7 @@ WRITE_CACHE_ENGINE_VERSION = 1
 
 
 @dataclass(frozen=True)
-class WriteCacheConfig:
+class WriteCacheConfig(CounterSerde):
     """Immutable description of one stand-alone write-cache experiment."""
 
     entries: int = 5
@@ -48,18 +48,6 @@ class WriteCacheConfig:
     def build(self) -> "WriteCache":
         """Instantiate the write cache this config describes."""
         return WriteCache(entries=self.entries, line_size=self.line_size)
-
-    def to_dict(self) -> dict:
-        """JSON-safe payload covering every identity field."""
-        return {"entries": self.entries, "line_size": self.line_size}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "WriteCacheConfig":
-        """Inverse of :meth:`to_dict`; unknown keys raise, missing default."""
-        unknown = set(payload) - {"entries", "line_size"}
-        if unknown:
-            raise ValueError(f"unknown WriteCacheConfig fields: {sorted(unknown)}")
-        return cls(**payload)
 
 
 @dataclass

@@ -654,7 +654,7 @@ def _command_store(args) -> int:
         trace_kept, trace_quarantined = catalog.gc()
         print(
             f"trace catalog: kept {trace_kept}, quarantined "
-            f"{trace_quarantined} records with missing payloads"
+            f"{trace_quarantined} corrupt or payload-less records"
         )
     return 0
 

@@ -59,7 +59,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ConfigurationError
@@ -249,23 +249,10 @@ class PoolTelemetry(CounterSerde):
         return self.batched_runs / self.batches if self.batches else 0.0
 
     def add(self, other: "PoolTelemetry") -> None:
-        """Fold another batch's counters into this one."""
-        self.requested += other.requested
-        self.deduplicated += other.deduplicated
-        self.memory_hits += other.memory_hits
-        self.store_hits += other.store_hits
-        self.computed += other.computed
-        self.sim_seconds += other.sim_seconds
-        self.wall_seconds += other.wall_seconds
-        self.batches += other.batches
-        self.batched_runs += other.batched_runs
-        self.retries += other.retries
-        self.timeouts += other.timeouts
-        self.pool_rebuilds += other.pool_rebuilds
-        self.degraded_runs += other.degraded_runs
-        self.profiled_runs += other.profiled_runs
-        self.profile_passes += other.profile_passes
-        self.hier_vector_runs += other.hier_vector_runs
+        """Fold another batch's counters into this one (every field)."""
+        for counter in fields(self):
+            name = counter.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
     def line(self) -> str:
         """Stable machine-greppable summary (CI asserts on ``computed=``)."""

@@ -37,13 +37,11 @@ from repro.cache.fastsim import (
 )
 from repro.cache.stats import CacheStats
 from repro.exec.experiments import register_runner
-from repro.hierarchy.hiersim import simulate_hierarchy_batch_info
-from repro.hierarchy.system import (
-    SYSTEM_ENGINE_VERSION,
-    HierarchyConfig,
-    SystemStats,
-    simulate_system,
+from repro.hierarchy.hiersim import (
+    simulate_hierarchy,
+    simulate_hierarchy_batch_info,
 )
+from repro.hierarchy.system import SYSTEM_ENGINE_VERSION, HierarchyConfig, SystemStats
 
 
 def run_cache(spec, trace):
@@ -100,7 +98,7 @@ def run_victim_buffer(spec, trace):
 
 def run_system(spec, trace):
     """Composed hierarchy: L1 + optional structures + metered memory."""
-    return simulate_system(trace, spec.config, flush=spec.flush)
+    return simulate_hierarchy(trace, spec.config, flush=spec.flush)
 
 
 def run_system_grid(specs, trace):

@@ -45,6 +45,7 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.common.serde import parse_json_object
 from repro.exec import faults as faults_module
 from repro.exec.experiments import UnknownExperimentKind, get_kind
 from repro.exec.keys import ExperimentSpec
@@ -116,22 +117,28 @@ class ResultStore:
 
     # -- read/write ---------------------------------------------------------
 
-    def _decode(self, key: ExperimentSpec, raw: str):
-        """Parse one record for ``key``: ``(stats, None)`` or ``(None, reason)``."""
-        try:
-            record = json.loads(raw)
-        except ValueError:
-            return None, "parse-error"
-        if not isinstance(record, dict):
+    @staticmethod
+    def _decode(raw: bytes, key: Optional[ExperimentSpec] = None):
+        """Decode one record: ``(stats, None)`` or ``(None, reason)``.
+
+        With ``key`` (a read) the record must also be that key's own;
+        without it (``gc``) it must name a registered kind.  Bytes that
+        are not a UTF-8 JSON object are a ``parse-error``.
+        """
+        record = parse_json_object(raw)
+        if record is None:
             return None, "parse-error"
         if record.get("schema") != STORE_SCHEMA:
             return None, "store-schema-mismatch"
-        if record.get("kind") != key.kind:
+        if key is not None and record.get("kind") != key.kind:
             return None, "kind-mismatch"
-        kind = get_kind(key.kind)
+        try:
+            kind = get_kind(record["kind"])
+        except (UnknownExperimentKind, KeyError, TypeError):
+            return None, "unknown-kind"
         if record.get("kind_schema") != kind.schema_version:
             return None, "kind-schema-mismatch"
-        if record.get("key") != key.canonical():
+        if key is not None and record.get("key") != key.canonical():
             return None, "key-mismatch"
         try:
             stats = kind.stats_type.from_dict(record["stats"])
@@ -149,11 +156,11 @@ class ResultStore:
         """
         path = self.path_for(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except OSError:
             self.telemetry.count("misses")
             return None
-        stats, reason = self._decode(key, raw)
+        stats, reason = self._decode(raw, key)
         if reason is not None:
             # A bad record is never fatal: quarantine it and recompute.
             self.telemetry.count("corrupt")
@@ -219,17 +226,19 @@ class ResultStore:
         """Move one bad record into the quarantine sidecar.
 
         The quarantine entry is a JSON envelope carrying the reason code,
-        the record's original path and its raw bytes, so corruption can be
-        diagnosed after the store has healed itself.  Quarantine failures
-        (read-only sidecar, full disk) degrade to plain deletion — a bad
-        record must never survive in the record tree either way.
+        the record's original path and its raw bytes (non-UTF-8 bytes
+        backslash-escaped), so corruption can be diagnosed after the
+        store has healed itself.  Quarantine failures (read-only sidecar,
+        full disk) degrade to plain deletion — a bad record must never
+        survive in the record tree either way.
         """
         if raw is None:
             try:
-                raw = path.read_text(encoding="utf-8")
+                raw = path.read_bytes()
             except OSError:
-                raw = None
-        entry = {"reason": reason, "source": str(path), "raw": raw}
+                pass
+        text = None if raw is None else raw.decode("utf-8", "backslashreplace")
+        entry = {"reason": reason, "source": str(path), "raw": text}
         try:
             self.quarantine_dir.mkdir(parents=True, exist_ok=True)
             handle, tmp_name = tempfile.mkstemp(
@@ -377,29 +386,6 @@ class ResultStore:
                 pass
         return removed
 
-    @staticmethod
-    def _gc_reason(raw: str) -> Optional[str]:
-        """Why a current-schema record must go, or ``None`` to keep it."""
-        try:
-            record = json.loads(raw)
-            if not isinstance(record, dict):
-                return "parse-error"
-        except ValueError:
-            return "parse-error"
-        try:
-            kind = get_kind(record["kind"])
-        except (UnknownExperimentKind, KeyError, TypeError):
-            return "unknown-kind"
-        if record.get("schema") != STORE_SCHEMA:
-            return "store-schema-mismatch"
-        if record.get("kind_schema") != kind.schema_version:
-            return "kind-schema-mismatch"
-        try:
-            kind.stats_type.from_dict(record["stats"])
-        except (ValueError, KeyError, TypeError):
-            return "stats-decode-error"
-        return None
-
     def gc(self) -> Tuple[int, int]:
         """Drop corrupt, stale-schema and unknown-kind records.
 
@@ -414,18 +400,19 @@ class ResultStore:
         """
         kept = removed = 0
         for path in list(self._record_paths()):
+            raw = None
             if f"v{STORE_SCHEMA}" not in path.parts:
                 reason = "stale-store-schema"
             else:
                 try:
-                    raw = path.read_text(encoding="utf-8")
+                    raw = path.read_bytes()
                 except OSError:
                     continue  # vanished under us: neither kept nor removed
-                reason = self._gc_reason(raw)
+                _, reason = self._decode(raw)
             if reason is None:
                 kept += 1
             else:
-                self._quarantine(path, reason)
+                self._quarantine(path, reason, raw=raw)
                 removed += 1
         return kept, removed
 

@@ -15,9 +15,12 @@ the next-level components and the glue:
 - :class:`repro.hierarchy.system.CacheSystem` — the built hierarchy:
   stacked cache levels over metered inter-level boundaries and memory.
 - :class:`repro.hierarchy.system.SystemStats` /
-  :class:`repro.hierarchy.system.LevelStats` /
-  :func:`repro.hierarchy.system.simulate_system` — the composed hierarchy
-  as a registered experiment kind (config in, serializable stats out).
+  :class:`repro.hierarchy.system.LevelStats` — the serializable result
+  of one hierarchy run.
+- :func:`repro.hierarchy.hiersim.simulate_hierarchy` — runs a hierarchy
+  graph (the registered ``system`` experiment kind): level by level
+  through the vector kernel where it can, composed where a level
+  declines, bit-identical either way.
 - :class:`repro.hierarchy.system.CacheLevelBackend` — adapter that lets a
   :class:`~repro.cache.cache.Cache` serve as the next level below another
   cache; :class:`repro.hierarchy.system.MeteringBackend` counts any
@@ -35,8 +38,8 @@ from repro.hierarchy.system import (
     LevelStats,
     MeteringBackend,
     SystemStats,
-    simulate_system,
 )
+from repro.hierarchy.hiersim import simulate_hierarchy
 
 __all__ = [
     "MainMemory",
@@ -48,5 +51,5 @@ __all__ = [
     "LevelStats",
     "MeteringBackend",
     "SystemStats",
-    "simulate_system",
+    "simulate_hierarchy",
 ]

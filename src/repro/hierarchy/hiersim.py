@@ -33,9 +33,9 @@ levels keep their speed (mirroring the decline contract
 *final* level outside the vector kernel's shape still gets a derived
 meter over :func:`repro.cache.fastsim.simulate_trace`.
 
-``backend`` follows the fastsim contract: ``auto`` vectorizes what it
-can, ``vector`` raises on a declining level, and ``reference`` composes
-the whole graph (the oracle the vectorized route is tested against).
+The route depends on the configuration alone.  The composed
+:class:`~repro.hierarchy.system.CacheSystem` is the oracle the
+vectorized route is tested against, and tests call it directly.
 Top-level trace plans go through vecsim's cross-call LRU, so a sweep of
 hierarchies over one trace pays the trace-side passes once per line
 size — the pool's batched ``system`` dispatch (``hier_vector_runs``
@@ -50,7 +50,6 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.cache import fastsim, vecsim
-from repro.common.errors import ConfigurationError
 from repro.hierarchy.memory import TrafficMeter
 from repro.hierarchy.system import (
     CacheSystem,
@@ -69,13 +68,7 @@ def supports_level(level: LevelConfig) -> bool:
     Requires a bare level (no attached structures) whose cache the
     vector kernel covers (direct-mapped, stats-only, non-sectored).
     """
-    return (
-        level.write_cache_entries == 0
-        and level.victim_entries == 0
-        and level.miss_entries == 0
-        and level.stream_buffers == 0
-        and vecsim.supports(level.cache)
-    )
+    return _bare_level(level) and vecsim.supports(level.cache)
 
 
 def _bare_level(level: LevelConfig) -> bool:
@@ -265,13 +258,10 @@ def _composed(trace: Trace, levels: Sequence[LevelConfig], flush: bool) -> Syste
 
 
 def _simulate(
-    trace: Trace, config: HierarchyConfig, flush: bool, choice: str
+    trace: Trace, config: HierarchyConfig, flush: bool
 ) -> Tuple[SystemStats, int]:
     """One hierarchy run; returns ``(stats, vectorized_level_count)``."""
     levels = config.levels
-    if choice == "reference":
-        return _composed(trace, levels, flush), 0
-
     level_results: List[LevelStats] = []
     meters: List[TrafficMeter] = []
     vectorized = 0
@@ -295,20 +285,11 @@ def _simulate(
             meters.append(_derived_meter(stats, level.cache.line_size))
             index += 1
             continue
-        if choice == "vector":
-            raise ConfigurationError(
-                f"backend 'vector' cannot simulate hierarchy level {index} "
-                f"({level.name}): attached structures, set-associative, "
-                "data-carrying and sectored levels decline to the composed "
-                "path"
-            )
         if last and _bare_level(level) and not level.cache.store_data:
             # Outside the vector kernel's shape but still meter-derivable:
             # the structure-free final level keeps the one-level fast path
             # (fastsim picks the best engine for the cache itself).
-            stats = fastsim.simulate_trace(
-                current, level.cache, flush=flush, backend="auto"
-            )
+            stats = fastsim.simulate_trace(current, level.cache, flush=flush)
             level_results.append(LevelStats(cache=stats))
             meters.append(_derived_meter(stats, level.cache.line_size))
             index += 1
@@ -322,27 +303,24 @@ def _simulate(
     return SystemStats(levels=level_results, boundaries=meters), vectorized
 
 
-def simulate_hierarchy(
-    trace: Trace, config, flush: bool = True, backend: str = None
-) -> SystemStats:
+def simulate_hierarchy(trace: Trace, config, flush: bool = True) -> SystemStats:
     """Simulate a hierarchy graph, vectorized level-by-level where possible.
 
-    Bit-identical to running the composed :class:`CacheSystem` for every
-    config and backend choice; ``backend`` (default ``auto``) only picks
-    the route.  ``vector`` raises :class:`ConfigurationError` if any level
-    declines; ``reference`` always composes.
+    ``config`` is a :class:`HierarchyConfig` or a bare L1
+    :class:`~repro.cache.config.CacheConfig`.  Structure-free stats-only
+    levels run through the vector kernel with derived boundary meters;
+    anything the kernel declines (attached structures, set-associative,
+    data-carrying or sectored levels) runs through the composed
+    :class:`CacheSystem` over the already-materialized stream.  Every
+    route is bit-identical to composing the whole graph (the
+    differential suites assert it stat-for-stat).
     """
-    stats, _ = _simulate(
-        trace, _as_hierarchy(config), flush, fastsim._resolve_backend(backend)
-    )
+    stats, _ = _simulate(trace, _as_hierarchy(config), flush)
     return stats
 
 
 def simulate_hierarchy_batch_info(
-    trace: Trace,
-    configs: Sequence,
-    flush: bool = True,
-    backend: str = None,
+    trace: Trace, configs: Sequence, flush: bool = True
 ) -> Tuple[List[SystemStats], dict]:
     """A grid of hierarchy runs over one trace, plus dispatch counters.
 
@@ -353,11 +331,10 @@ def simulate_hierarchy_batch_info(
     runs whose first level went through the vector kernel — the pool
     folds it into :class:`~repro.exec.pool.PoolTelemetry`.
     """
-    choice = fastsim._resolve_backend(backend)
     results: List[SystemStats] = []
     vector_runs = 0
     for config in configs:
-        stats, vectorized = _simulate(trace, _as_hierarchy(config), flush, choice)
+        stats, vectorized = _simulate(trace, _as_hierarchy(config), flush)
         results.append(stats)
         if vectorized:
             vector_runs += 1

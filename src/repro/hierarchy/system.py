@@ -541,20 +541,3 @@ class CacheSystem:
     def memory_traffic(self) -> TrafficMeter:
         """Traffic that actually reached main memory."""
         return self.memory.meter
-
-
-def simulate_system(trace: Trace, config, flush: bool = True) -> SystemStats:
-    """Run one composed-hierarchy experiment and return its stats.
-
-    Dispatches through :func:`repro.hierarchy.hiersim.simulate_hierarchy`:
-    structure-free stats-only levels run level-by-level through the
-    vector kernel with derived boundary meters, and anything the kernel
-    declines (attached structures, set-associative, data-carrying or
-    sectored levels) runs through the composed :class:`CacheSystem` over
-    the already-materialized stream.  Every route is bit-identical to
-    composing the whole graph (the differential suites assert it
-    stat-for-stat), so results never depend on the route taken.
-    """
-    from repro.hierarchy import hiersim
-
-    return hiersim.simulate_hierarchy(trace, _as_hierarchy(config), flush=flush)

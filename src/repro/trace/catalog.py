@@ -16,8 +16,8 @@ hash into every ``RunKey`` so results dedup across the pool and store
 exactly like generated workloads.
 
 Like the result store, :meth:`TraceCatalog.gc` never deletes evidence:
-records whose payload went missing are moved to a ``quarantine/``
-sidecar with a reason envelope for manual inspection.
+records that do not parse or whose payload went missing are moved to a
+``quarantine/`` sidecar with a reason envelope for manual inspection.
 """
 
 import gzip
@@ -31,6 +31,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.serde import parse_json_object
 from repro.trace.ingest import (
     DEFAULT_CHUNK_REFS,
     PACK_DTYPE,
@@ -147,22 +148,35 @@ class TraceCatalog:
     # -- reads --------------------------------------------------------------
 
     def get(self, digest: str) -> Optional[dict]:
-        """The record for ``digest``, or ``None``."""
+        """The record for ``digest``, or ``None``.
+
+        A record that is not a UTF-8 JSON object raises
+        :class:`ConfigurationError` naming the file.
+        """
+        path = self.record_path(digest)
         try:
-            text = self.record_path(digest).read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
-        return json.loads(text)
+        record = parse_json_object(raw)
+        if record is None:
+            raise ConfigurationError(
+                f"corrupt trace catalog record {path}; "
+                "run 'repro store gc' to quarantine it"
+            )
+        return record
 
     def ls(self) -> List[dict]:
-        """All records, newest first."""
+        """All readable records, newest first."""
         records = []
         if self.root.is_dir():
             for path in self.root.glob("*.json"):
                 try:
-                    records.append(json.loads(path.read_text(encoding="utf-8")))
-                except (OSError, ValueError):
+                    record = parse_json_object(path.read_bytes())
+                except OSError:
                     continue
+                if record is not None:
+                    records.append(record)
         records.sort(key=lambda record: record.get("created", 0), reverse=True)
         return records
 
@@ -215,10 +229,11 @@ class TraceCatalog:
     # -- maintenance --------------------------------------------------------
 
     def gc(self) -> Tuple[int, int]:
-        """``(kept, quarantined)``: move payload-less records aside.
+        """``(kept, quarantined)``: move corrupt and payload-less records aside.
 
         Mirrors :meth:`repro.exec.store.ResultStore.gc`: nothing is
-        deleted; a record whose payload is missing is rewritten into
+        deleted; a record that does not parse (``parse-error``) or whose
+        payload is missing (``missing-trace-payload``) is rewritten into
         ``quarantine/`` with a reason envelope so the loss stays
         inspectable.
         """
@@ -226,18 +241,21 @@ class TraceCatalog:
         if not self.root.is_dir():
             return 0, 0
         for path in sorted(self.root.glob("*.json")):
-            digest = path.stem
-            if self.payload_path(digest).exists():
+            try:
+                raw = path.read_bytes()
+            except OSError:
+                continue  # vanished under us: neither kept nor quarantined
+            if parse_json_object(raw) is None:
+                reason = "parse-error"
+            elif not self.payload_path(path.stem).exists():
+                reason = "missing-trace-payload"
+            else:
                 kept += 1
                 continue
-            try:
-                raw = path.read_text(encoding="utf-8")
-            except OSError:
-                raw = None
             envelope = {
-                "reason": "missing-trace-payload",
+                "reason": reason,
                 "source": str(path),
-                "raw": raw,
+                "raw": raw.decode("utf-8", "backslashreplace"),
             }
             self.quarantine_dir.mkdir(parents=True, exist_ok=True)
             destination = self.quarantine_dir / path.name

@@ -20,12 +20,13 @@ both derived boundary meters.  Regenerate alongside ``GOLDEN_STATS``
 """
 
 import pytest
+from test_vecsim import reference_stats
 
-from repro.cache import rdsim
+from repro.cache import rdsim, vecsim
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import simulate_trace, simulate_trace_batch
-from repro.hierarchy.hiersim import simulate_hierarchy
-from repro.hierarchy.system import HierarchyConfig, LevelConfig
+from repro.cache.fastsim import simulate_trace, simulate_trace_batch_info
+from repro.hierarchy import hiersim
+from repro.hierarchy.system import CacheSystem, HierarchyConfig, LevelConfig
 from repro.trace.corpus import load
 
 GOLDEN_WORKLOAD = ("ccom", 0.05, 1991)  # (name, scale, seed)
@@ -146,14 +147,35 @@ def golden_trace():
     return trace
 
 
-@pytest.mark.parametrize("backend", ["reference", "vector"])
-def test_every_engine_matches_golden(golden_trace, backend):
-    stats = simulate_trace(golden_trace, GOLDEN_CONFIG, flush=True, backend=backend)
-    assert stats.to_dict() == GOLDEN_STATS, backend
+def _composed_system(trace, config):
+    system = CacheSystem(config)
+    system.run(trace, flush=True)
+    return system.system_stats()
+
+
+def _vectorized_hierarchy(trace, config):
+    stats, vectorized = hiersim._simulate(trace, config, True)
+    assert vectorized == len(config.levels)
+    return stats
+
+
+@pytest.mark.parametrize(
+    "engine",
+    [
+        pytest.param(reference_stats, id="reference"),
+        pytest.param(
+            lambda trace, config: vecsim.simulate_direct_mapped(trace, config, True),
+            id="vector",
+        ),
+        pytest.param(simulate_trace, id="auto"),
+    ],
+)
+def test_every_engine_matches_golden(golden_trace, engine):
+    assert engine(golden_trace, GOLDEN_CONFIG).to_dict() == GOLDEN_STATS
 
 
 def test_batched_kernel_matches_golden(golden_trace):
-    (stats,) = simulate_trace_batch(golden_trace, [GOLDEN_CONFIG], flush=True)
+    (stats,) = vecsim.simulate_batch(golden_trace, [GOLDEN_CONFIG], True)
     assert stats.to_dict() == GOLDEN_STATS
 
 
@@ -162,25 +184,30 @@ def test_ladder_profiler_matches_golden(golden_trace):
     assert stats.to_dict() == GOLDEN_STATS
 
 
-@pytest.mark.parametrize("backend", ["auto", "vector", "reference"])
-def test_nested_vectorized_path_matches_golden(golden_trace, backend):
+@pytest.mark.parametrize(
+    "engine",
+    [
+        pytest.param(hiersim.simulate_hierarchy, id="auto"),
+        pytest.param(_vectorized_hierarchy, id="vector"),
+        pytest.param(_composed_system, id="reference"),
+    ],
+)
+def test_nested_vectorized_path_matches_golden(golden_trace, engine):
     # Every hierarchy route — level-by-level vectorized and fully
     # composed — must reproduce the nested pin bit-for-bit.
-    stats = simulate_hierarchy(
-        golden_trace, GOLDEN_HIERARCHY, flush=True, backend=backend
-    )
-    assert stats.to_dict() == GOLDEN_SYSTEM_STATS, backend
+    assert engine(golden_trace, GOLDEN_HIERARCHY).to_dict() == GOLDEN_SYSTEM_STATS
 
 
 def test_profiled_size_ladder_contains_golden(golden_trace):
     # The golden config embedded in a full size ladder: the profiler's
     # shared pass must reproduce the pinned row exactly, and batch
-    # dispatch must route the ladder through it by default.
+    # dispatch must route the ladder through it.
     ladder = [
         CacheConfig(size=1024 << level, line_size=16) for level in range(4)
     ]
     stats, info = rdsim.simulate_ladder_info(golden_trace, ladder, flush=True)
     assert info.profiled_runs == len(ladder) and info.profile_passes == 1
     assert stats[0].to_dict() == GOLDEN_STATS
-    dispatched = simulate_trace_batch(golden_trace, ladder, flush=True)
+    dispatched, info = simulate_trace_batch_info(golden_trace, ladder, flush=True)
+    assert info.profiled_runs == len(ladder)
     assert dispatched[0].to_dict() == GOLDEN_STATS

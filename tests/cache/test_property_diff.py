@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from test_vecsim import reference_stats
 
-from repro.cache import rdsim
+from repro.cache import rdsim, vecsim
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import simulate_trace, simulate_trace_batch
+from repro.cache.fastsim import simulate_trace, simulate_trace_batch_info
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.trace.events import READ, WRITE
 from repro.trace.trace import Trace
@@ -142,9 +143,10 @@ COMMON_SETTINGS = dict(
 def run_all_engines(trace: Trace, config: CacheConfig, flush: bool):
     """Stats dict per engine, keyed by engine name."""
     return {
-        "reference": simulate_trace(trace, config, flush=flush, backend="reference"),
-        "vector": simulate_trace(trace, config, flush=flush, backend="vector"),
-        "batch": simulate_trace_batch(trace, [config], flush=flush)[0],
+        "reference": reference_stats(trace, config, flush),
+        "vector": vecsim.simulate_direct_mapped(trace, config, flush),
+        "auto": simulate_trace(trace, config, flush=flush),
+        "batch": simulate_trace_batch_info(trace, [config], flush=flush)[0][0],
         # A one-config grid is a one-level ladder: the profiler still
         # runs its full machinery (or falls back to vecsim for the
         # shapes it declines) and must agree with everything else.
@@ -172,9 +174,9 @@ def test_batched_grid_matches_per_run_reference(grid_cases, data):
     base = grid_cases[0]
     grid = [case.config for case in grid_cases]
     flush = data.draw(st.booleans())
-    batched = simulate_trace_batch(base.trace, grid, flush=flush)
+    batched, _ = simulate_trace_batch_info(base.trace, grid, flush=flush)
     for config, stats in zip(grid, batched):
-        expected = simulate_trace(base.trace, config, flush=flush, backend="reference")
+        expected = reference_stats(base.trace, config, flush)
         assert stats.to_dict() == expected.to_dict(), config.describe()
 
 
@@ -199,9 +201,7 @@ def test_size_ladder_profile_matches_per_run_reference(case, data):
     ]
     profiled = rdsim.simulate_ladder(case.trace, ladder, flush=case.flush)
     for config, stats in zip(ladder, profiled):
-        expected = simulate_trace(
-            case.trace, config, flush=case.flush, backend="reference"
-        )
+        expected = reference_stats(case.trace, config, case.flush)
         assert stats.to_dict() == expected.to_dict(), config.describe()
 
 
@@ -210,8 +210,8 @@ def test_size_ladder_profile_matches_per_run_reference(case, data):
 def test_flush_only_adds_flush_counters(case):
     # flush=False must be a strict subset: identical counters except the
     # flush-stop fields, which stay zero.
-    flushed = simulate_trace(case.trace, case.config, flush=True, backend="vector")
-    unflushed = simulate_trace(case.trace, case.config, flush=False, backend="vector")
+    flushed = vecsim.simulate_direct_mapped(case.trace, case.config, True)
+    unflushed = vecsim.simulate_direct_mapped(case.trace, case.config, False)
     flushed_dict = flushed.to_dict()
     unflushed_dict = unflushed.to_dict()
     for field, value in unflushed_dict.items():
@@ -246,6 +246,4 @@ def test_diff_case_repr_reproduces():
     assert rebuilt_trace.addresses == list(case.addresses)
     assert rebuilt_config == case.config
     stats = simulate_trace(rebuilt_trace, rebuilt_config, flush=case.flush)
-    assert stats.to_dict() == simulate_trace(
-        case.trace, case.config, flush=case.flush, backend="reference"
-    ).to_dict()
+    assert stats.to_dict() == reference_stats(case.trace, case.config, case.flush).to_dict()

@@ -8,17 +8,17 @@ multi-lane >64 B widths), flush on and off.  These sweeps are what let
 the profiler share ``SIMULATOR_VERSION`` with the other engines.
 
 The dispatch tests pin the routing rules: size-only sub-grids collapse
-through the profiler only under the ``auto`` backend, a pinned
-``vector`` backend keeps the pure batched path, and the pool's telemetry
-reports how many runs the profiler served.
+through the profiler, single-size groups and direct
+``vecsim.simulate_batch`` calls keep the pure batched path, and the
+pool's telemetry reports how many runs the profiler served.
 """
 
 import pytest
-from test_vecsim import COMBOS, assert_stats_equal, seeded_trace
+from test_vecsim import COMBOS, assert_stats_equal, reference_stats, seeded_trace
 
 from repro.cache import rdsim, vecsim
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import simulate_trace, simulate_trace_batch_info
+from repro.cache.fastsim import simulate_trace_batch_info
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.core.runner import experiment_key
 from repro.exec.pool import ExperimentPool
@@ -211,17 +211,24 @@ def profiled_grid_specs(workload="ccom"):
 class TestDispatchToggles:
     """Route choices: same stats, different routes."""
 
-    def test_pinned_vector_backend_bypasses_profiler(self):
+    def test_pinned_vector_backend_bypasses_profiler(self, monkeypatch):
+        # Calling the batched kernel directly pins pure vecsim batching:
+        # the profiler never engages, and the ladder it would have served
+        # matches both per-run vecsim and the profiled dispatch.
         trace = seeded_trace(73, 200)
         configs = ladder_configs(16)
-        results, info = simulate_trace_batch_info(
-            trace, configs, flush=True, backend="vector"
-        )
-        assert info.profiled_runs == 0 and info.profile_passes == 0
-        for config, stats in zip(configs, results):
-            assert_stats_equal(
-                stats, simulate_trace(trace, config, backend="vector")
-            )
+        profiled, info = simulate_trace_batch_info(trace, configs, flush=True)
+        assert info.profiled_runs == len(configs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("profiler called by vecsim.simulate_batch")
+
+        monkeypatch.setattr(rdsim, "simulate_ladder_info", refuse)
+        monkeypatch.setattr(rdsim, "simulate_ladder", refuse)
+        results = vecsim.simulate_batch(trace, configs, True)
+        for config, stats, ladder_stats in zip(configs, results, profiled):
+            assert_stats_equal(stats, vecsim.simulate_direct_mapped(trace, config, True))
+            assert_stats_equal(stats, ladder_stats, config.describe())
 
     def test_single_size_groups_stay_on_batched_path(self):
         # One cache size per line size: no ladder to collapse, so the
@@ -248,9 +255,7 @@ class TestDispatchToggles:
         assert telemetry.profile_passes == 1
         for spec in specs:
             trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
-            expected = simulate_trace(
-                trace, spec.config, flush=spec.flush, backend="reference"
-            )
+            expected = reference_stats(trace, spec.config, spec.flush)
             assert results[spec].to_dict() == expected.to_dict(), spec.describe()
 
     def test_telemetry_line_reports_profiler_counters(self):

@@ -18,7 +18,6 @@ from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import simulate_trace
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
-from repro.common.errors import ConfigurationError
 from repro.trace.events import READ, WRITE, MemRef
 from repro.trace.trace import Trace
 
@@ -32,10 +31,11 @@ COMBOS = [
 ]
 
 
-def reference_stats(trace, config):
+def reference_stats(trace, config, flush=True):
     cache = Cache(config)
     cache.run(trace)
-    cache.flush()
+    if flush:
+        cache.flush()
     return cache.stats
 
 
@@ -85,9 +85,7 @@ class TestDifferentialGrid:
                     )
                     context = f"{hit}/{miss} line={line_size} sub={subblock} " \
                               f"flush={flush} seed={seed}"
-                    reference = simulate_trace(
-                        trace, config, flush=flush, backend="reference"
-                    )
+                    reference = reference_stats(trace, config, flush)
                     assert_stats_equal(
                         vec_stats(trace, config, flush), reference, context
                     )
@@ -140,7 +138,7 @@ class TestCorpusEquivalence:
             trace = small_corpus[name][:6000]
             assert_stats_equal(
                 vec_stats(trace, config),
-                simulate_trace(trace, config, backend="reference"),
+                reference_stats(trace, config),
                 f"{name} {miss}",
             )
 
@@ -153,7 +151,7 @@ class TestCorpusEquivalence:
                 )
                 assert_stats_equal(
                     vec_stats(trace, config),
-                    simulate_trace(trace, config, backend="reference"),
+                    reference_stats(trace, config),
                     f"size={size} line={line_size}",
                 )
 
@@ -214,7 +212,7 @@ class TestWideLines:
                 )
                 assert_stats_equal(
                     vec_stats(trace, config, flush),
-                    simulate_trace(trace, config, flush=flush, backend="reference"),
+                    reference_stats(trace, config, flush),
                     f"{hit}/{miss} line={line_size} sub={subblock} flush={flush}",
                 )
 
@@ -251,35 +249,29 @@ class TestBackendDispatch:
         trace = seeded_trace(42, 300)
         config = CacheConfig(size=512, line_size=16)
         results = {
-            backend: simulate_trace(trace, config, backend=backend)
-            for backend in ("auto", "vector", "reference")
+            "auto": simulate_trace(trace, config),
+            "vector": vec_stats(trace, config),
+            "reference": reference_stats(trace, config),
         }
-        for backend, stats in results.items():
-            assert_stats_equal(stats, results["auto"], backend)
-
-    def test_unknown_backend_rejected(self):
-        trace = seeded_trace(44, 10)
-        config = CacheConfig(size=256, line_size=16)
-        for backend in ("bogus", "loop"):
-            with pytest.raises(ConfigurationError):
-                simulate_trace(trace, config, backend=backend)
+        for engine, stats in results.items():
+            assert_stats_equal(stats, results["auto"], engine)
 
     def test_vector_handles_wide_lines(self):
         # 128 B lines exceed one uint64 lane; the multi-lane masks keep
         # them on the vector kernel, bit-identically.
         trace = seeded_trace(45, 50)
         config = CacheConfig(size=8192, line_size=128)
-        assert_stats_equal(
-            simulate_trace(trace, config, backend="vector"),
-            simulate_trace(trace, config, backend="reference"),
-        )
+        assert_stats_equal(vec_stats(trace, config), reference_stats(trace, config))
 
-    def test_pinned_backend_refuses_associative_configs(self):
+    def test_pinned_backend_refuses_associative_configs(self, monkeypatch):
+        # The vector kernel refuses associative configs, so the dispatch
+        # sends them to the reference Cache without calling it.
         trace = seeded_trace(46, 50)
         config = CacheConfig(size=2048, line_size=16, associativity=4)
-        with pytest.raises(ConfigurationError):
-            simulate_trace(trace, config, backend="vector")
-        assert_stats_equal(
-            simulate_trace(trace, config),
-            simulate_trace(trace, config, backend="reference"),
-        )
+        assert not vecsim.supports(config)
+
+        def refuse(*args):
+            raise AssertionError("vector kernel called for an associative config")
+
+        monkeypatch.setattr(vecsim, "simulate_direct_mapped", refuse)
+        assert_stats_equal(simulate_trace(trace, config), reference_stats(trace, config))

@@ -1,6 +1,6 @@
 """The batched kernel must be bit-identical to per-run simulation.
 
-``vecsim.simulate_batch`` / ``fastsim.simulate_trace_batch`` share the
+``vecsim.simulate_batch`` / ``fastsim.simulate_trace_batch_info`` share the
 config-independent trace passes across a configuration grid; these
 differential sweeps are the contract that the sharing never leaks into
 the statistics — every config in a batch produces exactly what a
@@ -15,12 +15,11 @@ import pytest
 
 from repro.cache import vecsim
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import simulate_trace, simulate_trace_batch
+from repro.cache.fastsim import simulate_trace, simulate_trace_batch_info
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
-from repro.common.errors import ConfigurationError
 from repro.trace.trace import Trace
 
-from test_vecsim import COMBOS, assert_stats_equal, seeded_trace
+from test_vecsim import COMBOS, assert_stats_equal, reference_stats, seeded_trace
 
 
 def grid_configs(sizes, line_sizes, subblock=False):
@@ -138,9 +137,10 @@ class TestPlanCache:
 
 
 class TestFrontEnd:
-    """fastsim.simulate_trace_batch: dispatch + fallback semantics."""
+    """fastsim.simulate_trace_batch_info: dispatch + fallback semantics."""
 
     def test_mixed_batch_falls_back_for_unsupported(self):
+        # Every config, batched or not, must match the reference Cache.
         trace = seeded_trace(81, 300)
         configs = [
             CacheConfig(size=1024, line_size=16),
@@ -148,30 +148,14 @@ class TestFrontEnd:
             CacheConfig(size=512, line_size=32, store_data=True),  # reference
             CacheConfig(size=2048, line_size=128),  # multi-lane vector
         ]
-        results = simulate_trace_batch(trace, configs)
+        results, _ = simulate_trace_batch_info(trace, configs)
         for config, stats in zip(configs, results):
-            assert_stats_equal(stats, simulate_trace(trace, config), config.name)
-
-    @pytest.mark.parametrize("backend", ["reference"])
-    def test_pinned_per_run_backends(self, backend):
-        trace = seeded_trace(82, 200)
-        configs = grid_configs((512,), (16,))
-        results = simulate_trace_batch(trace, configs, backend=backend)
-        for config, stats in zip(configs, results):
-            assert_stats_equal(
-                stats, simulate_trace(trace, config, backend=backend), config.name
-            )
-
-    def test_pinned_vector_refuses_associative(self):
-        trace = seeded_trace(83, 50)
-        configs = [CacheConfig(size=1024, line_size=16, associativity=2)]
-        with pytest.raises(ConfigurationError):
-            simulate_trace_batch(trace, configs, backend="vector")
+            assert_stats_equal(stats, reference_stats(trace, config), config.name)
 
     def test_flush_false_propagates(self):
         trace = seeded_trace(84, 300)
         configs = grid_configs((512, 1024), (16,))
-        results = simulate_trace_batch(trace, configs, flush=False)
+        results, _ = simulate_trace_batch_info(trace, configs, flush=False)
         for config, stats in zip(configs, results):
             assert stats.flushed_lines == 0
             assert_stats_equal(

@@ -129,21 +129,17 @@ class TestErrorExits:
         with pytest.raises(ConfigurationError, match=variable):
             read()
 
-    @pytest.mark.parametrize(
-        "name,content", [("missing.trace", None), ("bad.trace", "r zz 4\n")]
-    )
-    def test_module_entry_reports_one_line(self, tmp_path, name, content):
-        path = tmp_path / name
-        if content is not None:
-            path.write_text(content)
+    @staticmethod
+    def run_module(args, result_dir):
+        """``python -m repro <args>``; asserts one ``repro:`` line, exit 2."""
         env = dict(os.environ)
         src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = os.pathsep.join(
             [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
-        env["REPRO_RESULT_DIR"] = "off"
+        env["REPRO_RESULT_DIR"] = result_dir
         result = subprocess.run(
-            [sys.executable, "-m", "repro", "simulate", "--trace", str(path)],
+            [sys.executable, "-m", "repro", *args],
             capture_output=True,
             text=True,
             timeout=120,
@@ -153,6 +149,32 @@ class TestErrorExits:
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("repro: "), result.stderr
         assert "Traceback" not in result.stderr
+        return lines[0]
+
+    @pytest.mark.parametrize(
+        "name,content", [("missing.trace", None), ("bad.trace", "r zz 4\n")]
+    )
+    def test_module_entry_reports_one_line(self, tmp_path, name, content):
+        path = tmp_path / name
+        if content is not None:
+            path.write_text(content)
+        self.run_module(["simulate", "--trace", str(path)], "off")
+
+    def test_corrupt_catalog_record_reports_one_line(self, tmp_path):
+        from repro.trace.catalog import CATALOG_DIRNAME, TraceCatalog
+
+        store = tmp_path / "store"
+        capture = tmp_path / "capture.trace"
+        capture.write_text("".join(f"r {i * 16:x} 4\n" for i in range(64)))
+        catalog = TraceCatalog(store / CATALOG_DIRNAME)
+        digest = catalog.add(str(capture))["hash"]
+        catalog.record_path(digest).write_text("garbage{", encoding="utf-8")
+        line = self.run_module(
+            ["sweep", "--workload", f"ingested:{digest}", "--axis", "size"],
+            str(store),
+        )
+        assert str(catalog.record_path(digest)) in line
+        assert "store gc" in line
 
 
 class TestCsvExport:

@@ -8,6 +8,7 @@ dropped — a silently-tolerant decoder would mask protocol skew between a
 newer client and an older server.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -145,3 +146,12 @@ class TestPoolTelemetrySerde:
     def test_unknown_counter_rejected(self):
         with pytest.raises(ValueError):
             PoolTelemetry.from_dict({"computed": 1, "surprise": 2})
+
+    def test_add_sums_every_field(self):
+        # A counter missed by add() would vanish from per-job and
+        # aggregate telemetry; give each field a distinct value.
+        names = [field.name for field in dataclasses.fields(PoolTelemetry)]
+        left = PoolTelemetry(**{name: n for n, name in enumerate(names, 1)})
+        right = PoolTelemetry(**{name: 100 * n for n, name in enumerate(names, 1)})
+        left.add(right)
+        assert left.to_dict() == {name: 101 * n for n, name in enumerate(names, 1)}

@@ -107,6 +107,21 @@ class TestCorruptionTolerance:
         assert store.get(key) is None
         assert store.telemetry.corrupt == 1
 
+    def test_undecodable_bytes_are_quarantined(self, store):
+        # Invalid UTF-8 is a parse error like any other garbage: the read
+        # misses, the bytes land in quarantine and a recompute heals.
+        key = make_key()
+        store.put(key, make_stats())
+        store.path_for(key).write_bytes(b'\xff\xfe{"schema":2}')
+        assert store.get(key) is None
+        assert store.telemetry.corrupt == 1
+        assert [entry["reason"] for entry in store.quarantine_entries()] == [
+            "parse-error"
+        ]
+        assert not store.path_for(key).exists()
+        store.put(key, make_stats())
+        assert store.get(key) == make_stats()
+
     def test_schema_mismatch_is_a_miss(self, store):
         key = make_key()
         store.put(key, make_stats())
@@ -159,6 +174,17 @@ class TestMaintenance:
         assert (kept, removed) == (1, 1)
         assert store.get(good) is not None
         assert not store.path_for(bad).exists()
+
+    def test_gc_quarantines_undecodable_bytes(self, store):
+        good, bad = make_key(size="1KB"), make_key(size="2KB")
+        store.put(good, make_stats())
+        store.put(bad, make_stats())
+        store.path_for(bad).write_bytes(b'\xff\xfe{"schema":2}')
+        assert store.gc() == (1, 1)
+        assert not store.path_for(bad).exists()
+        assert [entry["reason"] for entry in store.quarantine_entries()] == [
+            "parse-error"
+        ]
 
 
 class TestMixedKinds:

@@ -11,7 +11,7 @@ Three guarantees of the declarative hierarchy refactor:
   (victim, miss cache, stream buffers, metering) fails loudly.  If a
   change breaks this on purpose, bump ``SYSTEM_ENGINE_VERSION`` and
   regenerate the dict in the same commit (regeneration: load the golden
-  workload, ``simulate_system(trace, GOLDEN_CONFIG)``, print
+  workload, ``simulate_hierarchy(trace, GOLDEN_CONFIG)``, print
   ``stats.to_dict()``).
 - **Config serde**: hierarchy configs round-trip the wire exactly —
   unknown keys raise, the legacy flat ``system`` payload shape still
@@ -25,11 +25,7 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.common.errors import ConfigurationError
-from repro.hierarchy.system import (
-    HierarchyConfig,
-    LevelConfig,
-    simulate_system,
-)
+from repro.hierarchy import HierarchyConfig, LevelConfig, simulate_hierarchy
 from repro.trace.corpus import load
 from repro.trace.events import READ, WRITE
 from repro.trace.trace import Trace
@@ -106,11 +102,11 @@ class TestBoundaryInvariance:
     )
     @settings(**COMMON_SETTINGS)
     def test_two_level_first_level_equals_flat(self, level, trace, l2_lines, flush):
-        flat = simulate_system(trace, HierarchyConfig(levels=(level,)), flush=flush)
+        flat = simulate_hierarchy(trace, HierarchyConfig(levels=(level,)), flush=flush)
         l2 = LevelConfig(
             cache=CacheConfig(size=(2 ** l2_lines) * 64, line_size=64)
         )
-        two = simulate_system(
+        two = simulate_hierarchy(
             trace, HierarchyConfig(levels=(level, l2)), flush=flush
         )
         assert two.levels[0].to_dict() == flat.levels[0].to_dict()
@@ -262,7 +258,7 @@ class TestGoldenSystem:
         name, scale, seed = GOLDEN_WORKLOAD
         trace = load(name, scale=scale, seed=seed)
         assert len(trace) == GOLDEN_TRACE_LENGTH, "workload generator drifted"
-        return simulate_system(trace, GOLDEN_CONFIG, flush=True)
+        return simulate_hierarchy(trace, GOLDEN_CONFIG, flush=True)
 
     def test_structured_two_level_matches_golden(self, golden_stats):
         assert golden_stats.to_dict() == GOLDEN_SYSTEM

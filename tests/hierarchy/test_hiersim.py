@@ -17,9 +17,8 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
-from repro.common.errors import ConfigurationError
 from repro.hierarchy import hiersim
-from repro.hierarchy.system import HierarchyConfig, LevelConfig
+from repro.hierarchy.system import CacheSystem, HierarchyConfig, LevelConfig
 from tests.conftest import make_trace
 
 #: Hit -> legal miss policies (write-back cannot pair with no-allocate).
@@ -87,15 +86,17 @@ def traces(draw):
     return make_trace(refs, name="hiersim-diff")
 
 
+def composed(trace, config, flush=True):
+    """The whole graph through the composed reference path."""
+    system = CacheSystem(config)
+    system.run(trace, flush=flush)
+    return system.system_stats()
+
+
 def assert_identical(config, trace, flush):
     """The vectorized route reproduces the composed route stat-for-stat."""
-    composed = hiersim.simulate_hierarchy(
-        trace, config, flush=flush, backend="reference"
-    )
-    vectorized = hiersim.simulate_hierarchy(
-        trace, config, flush=flush, backend="auto"
-    )
-    assert vectorized.to_dict() == composed.to_dict(), config.name
+    vectorized = hiersim.simulate_hierarchy(trace, config, flush=flush)
+    assert vectorized.to_dict() == composed(trace, config, flush).to_dict(), config.name
 
 
 class TestVectorizedMatchesComposed:
@@ -109,15 +110,11 @@ class TestVectorizedMatchesComposed:
     @given(config=graphs(), trace=traces(), flush=st.booleans())
     @settings(**COMMON_SETTINGS)
     def test_forced_vector_backend_agrees(self, config, trace, flush):
-        # Fully supported graphs must not decline: the forced 'vector'
-        # backend runs them and matches the composed path exactly.
-        composed = hiersim.simulate_hierarchy(
-            trace, config, flush=flush, backend="reference"
-        )
-        vectorized = hiersim.simulate_hierarchy(
-            trace, config, flush=flush, backend="vector"
-        )
-        assert vectorized.to_dict() == composed.to_dict(), config.name
+        # Fully supported graphs must not decline: every level runs
+        # through the vector kernel and matches the composed path exactly.
+        stats, vectorized = hiersim._simulate(trace, config, flush)
+        assert vectorized == len(config.levels), config.name
+        assert stats.to_dict() == composed(trace, config, flush).to_dict(), config.name
 
 
 #: A trace with enough conflict misses, stores and reuse to make every
@@ -185,7 +182,9 @@ class TestDeclineShapes:
         )
         assert_identical(config, busy_trace(), flush)
 
-    def test_vector_backend_raises_on_declining_level(self):
+    def test_declining_level_stops_vectorization(self):
+        # The bare L1 vectorizes; the structured L2 declines, so exactly
+        # one level goes through the vector kernel.
         config = HierarchyConfig(
             levels=(
                 LevelConfig(cache=CacheConfig(size=512, line_size=16)),
@@ -194,8 +193,9 @@ class TestDeclineShapes:
                 ),
             )
         )
-        with pytest.raises(ConfigurationError):
-            hiersim.simulate_hierarchy(config=config, trace=busy_trace(), backend="vector")
+        stats, vectorized = hiersim._simulate(busy_trace(), config, True)
+        assert vectorized == 1
+        assert stats.to_dict() == composed(busy_trace(), config).to_dict()
 
     def test_one_level_bare_fast_path(self):
         # The one-level derived-meter fast path (no outcome export needed).
@@ -227,17 +227,4 @@ class TestBatchInfo:
         )
         assert info["hier_vector_runs"] == 2
         for config, stats in zip([vectorizable, declining, vectorizable], results):
-            expected = hiersim.simulate_hierarchy(trace, config, backend="reference")
-            assert stats.to_dict() == expected.to_dict(), config.name
-
-    def test_reference_backend_reports_zero_vector_runs(self):
-        config = HierarchyConfig(
-            levels=(
-                LevelConfig(cache=CacheConfig(size=512, line_size=16)),
-                LevelConfig(cache=CacheConfig(size=4096, line_size=16)),
-            )
-        )
-        _, info = hiersim.simulate_hierarchy_batch_info(
-            busy_trace(), [config], backend="reference"
-        )
-        assert info["hier_vector_runs"] == 0
+            assert stats.to_dict() == composed(trace, config).to_dict(), config.name

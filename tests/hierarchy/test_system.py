@@ -14,8 +14,8 @@ from repro.hierarchy.system import (
     LevelConfig,
     LevelStats,
     SystemStats,
-    simulate_system,
 )
+from repro.hierarchy.hiersim import simulate_hierarchy
 
 
 def one_level(cache, **structures):
@@ -210,7 +210,7 @@ class TestSystemStatsSerde:
 
 
 class TestDerivedMeterFastPath:
-    """simulate_system's derived meter must match the composed hierarchy."""
+    """simulate_hierarchy's derived meter must match the composed hierarchy."""
 
     @pytest.mark.parametrize(
         "config",
@@ -229,7 +229,7 @@ class TestDerivedMeterFastPath:
     @pytest.mark.parametrize("flush", [True, False])
     def test_fast_path_matches_composed_system(self, small_corpus, config, flush):
         trace = small_corpus["yacc"][:5000]
-        fast = simulate_system(trace, one_level(config), flush=flush)
+        fast = simulate_hierarchy(trace, one_level(config), flush=flush)
         composed = CacheSystem(config)
         composed.run(trace, flush=flush)
         assert fast.to_dict() == composed.system_stats().to_dict()

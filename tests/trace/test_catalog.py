@@ -118,6 +118,24 @@ class TestGc:
             catalog.load(record["hash"])
         assert "store gc" in str(excinfo.value)
 
+    def test_corrupt_record_raises_typed_error_until_gc(self, catalog, tmp_path):
+        path = tmp_path / "capture.trace"
+        path.write_text(TEXT)
+        record = catalog.add(str(path))
+        record_path = catalog.record_path(record["hash"])
+        record_path.write_text("garbage{", encoding="utf-8")
+        for read in (catalog.get, catalog.load):
+            with pytest.raises(ConfigurationError) as excinfo:
+                read(record["hash"])
+            assert str(record_path) in str(excinfo.value)
+            assert "store gc" in str(excinfo.value)
+        assert catalog.gc() == (0, 1)
+        envelope = json.loads((catalog.quarantine_dir / record_path.name).read_text())
+        assert envelope["reason"] == "parse-error"
+        assert envelope["raw"] == "garbage{"
+        assert catalog.add(str(path))["duplicate"] is False
+        assert len(catalog.load(record["hash"])) == 600
+
     def test_store_gc_cli_covers_catalog(self, tmp_path, monkeypatch, capsys):
         from repro.cli import main
 
