@@ -19,9 +19,11 @@ Two entry points:
   the level-by-level hierarchy kernel against the composed reference
   path, and an ``ingest`` section timing the chunked array-native trace
   parser (:mod:`repro.trace.ingest`) against the line-by-line
-  ``read_trace`` reader on the same text file, written to
-  ``BENCH_simulator.json`` as refs/sec plus the speedups.  Every speedup
-  is a ratio taken in one run on one machine.  ``--check BASELINE``
+  ``read_trace`` reader on the same text file, reported as refs/sec plus
+  the speedups.  Every speedup is a ratio taken in one run on one
+  machine.  The script writes no file unless ``--output PATH`` asks for
+  the JSON report (re-recording the committed baseline means passing
+  ``--output benchmarks/BENCH_simulator.json``).  ``--check BASELINE``
   compares the measured *speedups*
   against a committed baseline and fails on a >30% regression
   (``--tolerance``); sections absent from the baseline (a freshly added
@@ -49,8 +51,6 @@ from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.hierarchy.hiersim import simulate_hierarchy_batch_info
 from repro.hierarchy.system import CacheSystem, HierarchyConfig, LevelConfig
 from repro.trace.corpus import load
-
-BASELINE_PATH = pathlib.Path(__file__).parent / "BENCH_simulator.json"
 
 #: The smoke grid: the default write-back configuration first (the one
 #: acceptance gates on), then one configuration per remaining policy.
@@ -506,8 +506,9 @@ def main(argv=None):
     parser.add_argument(
         "--output",
         type=pathlib.Path,
-        default=BASELINE_PATH,
-        help="where to write the JSON report (default: the committed baseline)",
+        default=None,
+        metavar="PATH",
+        help="write the JSON report here (default: write nothing)",
     )
     parser.add_argument(
         "--check",
@@ -543,9 +544,10 @@ def main(argv=None):
         baseline = json.loads(options.check.read_text(encoding="utf-8"))
 
     report = run_smoke_grid(options.workload, options.scale, options.repeats)
-    options.output.write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
+    if options.output is not None:
+        options.output.write_text(
+            json.dumps(report, indent=2) + "\n", encoding="utf-8"
+        )
     for name, row in report["configs"].items():
         print(
             f"{name:22s} ref  {row['reference_refs_per_sec'] / 1e6:6.2f} Mref/s  "

@@ -389,6 +389,7 @@ class _SegmentStream:
         "nonempty_sets",
         "_set_start",
         "_alloc",
+        "_writeback",
         "_around",
         "_invalidate",
         "_validate",
@@ -420,6 +421,7 @@ class _SegmentStream:
         self.nonempty_sets = int(np.count_nonzero(self.first_in_set))
         self._set_start = None
         self._alloc = None
+        self._writeback = None
         self._around = None
         self._invalidate = None
         self._validate = {}
@@ -440,6 +442,13 @@ class _SegmentStream:
         if self._alloc is None:
             self._alloc = _AllocState(self)
         return self._alloc
+
+    def writeback_state(self) -> "_WritebackState":
+        """Dirty-mask bookkeeping of the allocating policies (cached;
+        needed only by write-back configs)."""
+        if self._writeback is None:
+            self._writeback = _WritebackState(self, self.alloc_state())
+        return self._writeback
 
     def validate_state(self, granularity: int) -> "_ValidateState":
         """Write-validate extras at one valid granularity (cached)."""
@@ -539,7 +548,6 @@ class _AllocState:
     """
 
     __slots__ = (
-        "stream",
         "tag_hit",
         "run_start",
         "run_id",
@@ -549,13 +557,11 @@ class _AllocState:
         "write_hits",
         "write_misses",
         "victims",
-        "_writeback",
     )
 
     def __init__(self, stream: _SegmentStream) -> None:
         store = stream.store
         load = ~store
-        self.stream = stream
         self.tag_hit = ~stream.first_in_set & (stream.tag == _shifted(stream.tag, -1))
         self.run_start = ~self.tag_hit
         self.run_id = np.cumsum(self.run_start)
@@ -565,13 +571,6 @@ class _AllocState:
         self.write_hits = int(np.count_nonzero(store & self.tag_hit))
         self.write_misses = int(np.count_nonzero(store & self.run_start))
         self.victims = int(np.count_nonzero(self.victim_at))
-        self._writeback = None
-
-    def writeback(self) -> "_WritebackState":
-        """The dirty-mask bookkeeping, needed only by write-back configs."""
-        if self._writeback is None:
-            self._writeback = _WritebackState(self.stream, self)
-        return self._writeback
 
 
 class _WritebackState:
@@ -693,7 +692,7 @@ def _classify_allocating(
     stats.read_hits = state.load_tag_hits - stats.read_partial_misses
 
     if config.is_write_back:
-        wb = state.writeback()
+        wb = stream.writeback_state()
         stats.writes_to_dirty_lines = wb.writes_to_dirty
         stats.dirty_victims = wb.victim_dirty_lines
         stats.dirty_victim_dirty_bytes = wb.victim_dirty_bytes
@@ -713,7 +712,7 @@ def _classify_allocating(
         # resident line.
         stats.flushed_lines = stream.nonempty_sets
         if config.is_write_back:
-            wb = state.writeback()
+            wb = stream.writeback_state()
             stats.flushed_dirty_lines = wb.flush_dirty_lines
             stats.flushed_dirty_bytes = wb.flush_dirty_bytes
             stats.flush_writeback_bytes = (
@@ -944,7 +943,7 @@ def _derive_outcomes(
         else:
             fetch_g = fetch_g | (store_g & alloc.run_start)
         if config.is_write_back:
-            wb = alloc.writeback()
+            wb = stream.writeback_state()
             run_dirty = _mask_rows(wb.run_dirty, lanes)
             victim_pos = np.flatnonzero(alloc.victim_at)
             victim_mask = run_dirty[alloc.run_id[victim_pos] - 2]

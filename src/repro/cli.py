@@ -537,7 +537,6 @@ def _resolve_metric(args):
 
 def _command_sweep(args) -> int:
     from repro.common.render import format_series_table
-    from repro.core import runner
     from repro.core.sweep import sweep_experiments
     from repro.exec.pool import verbose_reporter
 
@@ -548,27 +547,17 @@ def _command_sweep(args) -> int:
 
     x_label, x_values, configs, detail = _sweep_axis(args)
     workloads = args.workloads or list(BENCHMARK_NAMES)
-    callback = verbose_reporter() if args.verbose else None
-    # Workload-major so each workload's configs form one batched task.
-    runner.prefetch(
-        [
-            runner.experiment_key(args.kind, name, config, scale=args.scale)
-            for name in workloads
-            for config in configs
-        ],
-        jobs=args.jobs,
-        callback=callback,
-    )
     series = sweep_experiments(
         args.kind,
         configs,
         lambda stats: getattr(stats, metric_name),
         workloads=workloads,
         scale=args.scale,
+        jobs=args.jobs,
+        callback=verbose_reporter() if args.verbose else None,
     )
-    # Aggregate counters (prefetch + sweep batches), matching the figures
-    # CLI; CI asserts on the line's computed= field for cold/warm store
-    # smoke runs.
+    # Aggregate counters, matching the figures CLI; CI asserts on the
+    # line's computed= field for cold/warm store smoke runs.
     from repro.exec.pool import aggregate_telemetry
 
     if args.json:
@@ -811,6 +800,7 @@ def _command_submit(args) -> int:
     import json
 
     from repro.common.render import format_series_table
+    from repro.core.sweep import metric_series
     from repro.service.client import ServiceClient, ServiceError
     from repro.service.protocol import DEFAULT_TOKEN, grid_request
 
@@ -854,13 +844,10 @@ def _command_submit(args) -> int:
 
     # Results come back workload-major (the grid shape), so regroup into
     # the same per-workload series a local sweep builds.
-    series = {name: [] for name in workloads}
+    grid = {name: [] for name in workloads}
     for spec, stats in pairs:
-        series[spec.workload].append(getattr(stats, metric_name))
-    series["average"] = [
-        sum(series[name][index] for name in workloads) / len(workloads)
-        for index in range(len(configs))
-    ]
+        grid[spec.workload].append(stats)
+    series = metric_series(grid, lambda stats: getattr(stats, metric_name))
     if args.json:
         print(
             json.dumps(

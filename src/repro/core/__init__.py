@@ -3,9 +3,9 @@
 This package turns the substrates (traces, cache simulator, buffers) into
 the paper's published artefacts:
 
-- :mod:`repro.core.runner` — memoised (trace, config) -> stats execution
-  over the persistent result store, with batch ``prefetch`` fan-out
-  (see :mod:`repro.exec`).
+- :mod:`repro.core.runner` — memoised spec -> stats execution over the
+  persistent result store: ``resolve`` runs a whole grid as one pool
+  batch (see :mod:`repro.exec`) and returns ``{spec: stats}``.
 - :mod:`repro.core.sweep` — the standard cache-size / line-size sweeps.
 - :mod:`repro.core.metrics` — derived-metric computations for each figure.
 - :mod:`repro.core.figures` — one driver per table/figure, with a registry
@@ -14,7 +14,7 @@ the paper's published artefacts:
   extracted as paper-value vs. measured-value pairs.
 """
 
-from repro.core.runner import clear_run_cache, prefetch, run, run_suite, suite_keys
+from repro.core.runner import clear_run_cache, resolve, run, run_suite, suite_keys
 from repro.core.sweep import CACHE_SIZES_KB, LINE_SIZES_B, DEFAULT_CACHE_KB, DEFAULT_LINE_B
 from repro.core.figures import FIGURES, get_figure
 from repro.core.headline import headline_claims
@@ -25,7 +25,7 @@ from repro.core.warmstart import run_warm
 __all__ = [
     "run",
     "run_suite",
-    "prefetch",
+    "resolve",
     "suite_keys",
     "clear_run_cache",
     "CACHE_SIZES_KB",

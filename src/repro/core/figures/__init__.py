@@ -10,6 +10,7 @@ from typing import Callable, Dict
 
 from repro.common.errors import ConfigurationError
 from repro.core.figures.base import FigureResult
+from repro.core.runner import DEFAULT_SEED
 from repro.core.figures.write_hits import fig01, fig02
 from repro.core.figures.write_buffer_fig import fig05
 from repro.core.figures.write_cache_fig import fig07, fig08, fig09
@@ -58,18 +59,18 @@ FIGURES: Dict[str, Callable] = {
 }
 
 
-def get_figure(figure_id: str, scale: float = 1.0):
-    """Produce one table/figure by id."""
+def get_figure(figure_id: str, scale: float = 1.0, seed: int = DEFAULT_SEED):
+    """Produce one table/figure by id over the corpus drawn with ``seed``."""
     if figure_id not in FIGURES:
         raise ConfigurationError(
             f"unknown figure {figure_id!r}; choose from {', '.join(FIGURES)}"
         )
-    return FIGURES[figure_id](scale=scale)
+    return FIGURES[figure_id](scale=scale, seed=seed)
 
 
-def render(figure_id: str, scale: float = 1.0) -> str:
+def render(figure_id: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> str:
     """Render one table/figure as text."""
-    result = get_figure(figure_id, scale=scale)
+    result = get_figure(figure_id, scale=scale, seed=seed)
     if isinstance(result, FigureResult):
         return result.render()
     return str(result)

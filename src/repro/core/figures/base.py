@@ -1,37 +1,22 @@
-"""Common result container and prefetch helper for figure drivers.
+"""Common result container for figure drivers.
 
 Each driver produces a :class:`FigureResult`: the x axis, one named series
 per curve (per benchmark and/or per policy, plus the average), and enough
 labelling to render the same rows/series the paper plots.
 
-Drivers that assemble their runs by hand (rather than through
-:func:`repro.core.sweep.sweep`, which prefetches automatically) call
-:func:`prefetch_grid` with their full configuration grid before the
-metric loops, so first-time rendering parallelises across workers and
-re-rendering is served entirely from the result store.
+Every driver resolves its whole grid once — one
+:func:`repro.core.runner.resolve` batch, directly or through
+:func:`repro.core.sweep.sweep_experiments` — and reads its points from
+the returned dict, so first-time rendering parallelises across workers
+and re-rendering is served entirely from the result store.  Drivers take
+``scale`` and ``seed``; the seed picks the synthetic corpus's random
+draw.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.common.render import ascii_chart, format_series_table
-from repro.core.runner import prefetch, suite_keys
-from repro.trace.corpus import BENCHMARK_NAMES
-
-
-def prefetch_grid(
-    configs: Sequence,
-    workloads: Iterable[str] = BENCHMARK_NAMES,
-    scale: float = 1.0,
-    jobs: Optional[int] = None,
-) -> None:
-    """Resolve a driver's full configs x workloads grid in one batch."""
-    prefetch(suite_keys(configs, workloads, scale=scale), jobs=jobs)
-
-
-def prefetch_specs(specs: Sequence, jobs: Optional[int] = None) -> None:
-    """Resolve an explicit (possibly mixed-kind) spec batch in one go."""
-    prefetch(specs, jobs=jobs)
 
 
 @dataclass

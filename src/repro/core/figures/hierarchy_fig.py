@@ -25,8 +25,8 @@ so a warm result store renders both panels without a single simulation.
 from typing import Dict, List
 
 from repro.cache.config import CacheConfig
-from repro.core.figures.base import FigureResult, prefetch_specs
-from repro.core.runner import experiment_key, run_experiment
+from repro.core.figures.base import FigureResult
+from repro.core.runner import DEFAULT_SEED, experiment_key, resolve
 from repro.hierarchy.system import HierarchyConfig, LevelConfig
 from repro.trace.corpus import BENCHMARK_NAMES
 
@@ -63,11 +63,15 @@ def _variant_config(size_kb: int, structures: dict) -> HierarchyConfig:
     )
 
 
-def _grid_specs(scale: float):
+def _grid_specs(scale: float, seed: int):
     """spec per (variant, L1 size, workload), variant-major."""
     return {
         (label, size_kb, name): experiment_key(
-            "system", name, _variant_config(size_kb, structures), scale=scale
+            "system",
+            name,
+            _variant_config(size_kb, structures),
+            scale=scale,
+            seed=seed,
         )
         for label, structures in VARIANTS
         for size_kb in L1_SIZES_KB
@@ -76,13 +80,13 @@ def _grid_specs(scale: float):
 
 
 def _panel(figure_id: str, title: str, y_label: str, metric, scale: float,
-           paper_shape: str) -> FigureResult:
-    specs = _grid_specs(scale)
-    prefetch_specs(list(specs.values()))
+           seed: int, paper_shape: str) -> FigureResult:
+    specs = _grid_specs(scale, seed)
+    results = resolve(specs.values())
     series: Dict[str, List[float]] = {}
     for label, _ in VARIANTS:
         series[label] = [
-            metric([run_experiment(specs[label, size_kb, name])
+            metric([results[specs[label, size_kb, name]]
                     for name in BENCHMARK_NAMES])
             for size_kb in L1_SIZES_KB
         ]
@@ -114,7 +118,7 @@ def _suite_transactions_per_instruction(results) -> float:
     return transactions / instructions if instructions else 0.0
 
 
-def hier_miss(scale: float = 1.0) -> FigureResult:
+def hier_miss(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Effective L1 miss ratio per mechanism (suite-aggregated)."""
     return _panel(
         "hier_miss",
@@ -122,13 +126,14 @@ def hier_miss(scale: float = 1.0) -> FigureResult:
         "effective L1 miss ratio",
         _suite_effective_miss_ratio,
         scale,
+        seed,
         "every structure sits below the baseline; victim >= miss cache "
         "per entry (Jouppi 1990); stream buffers take the biggest bite on "
         "sequential workloads; gaps narrow as L1 capacity grows",
     )
 
 
-def hier_traffic(scale: float = 1.0) -> FigureResult:
+def hier_traffic(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """L1-boundary transactions per instruction per mechanism."""
     return _panel(
         "hier_traffic",
@@ -136,6 +141,7 @@ def hier_traffic(scale: float = 1.0) -> FigureResult:
         "L1-boundary transactions per instruction",
         _suite_transactions_per_instruction,
         scale,
+        seed,
         "victim and miss caches only remove boundary transactions; every "
         "stream-buffer prefetch is an extra fetch, so that curve sits "
         "above the baseline — the price of the miss-ratio win",

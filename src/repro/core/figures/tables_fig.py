@@ -9,17 +9,20 @@ source of truth.
 from repro.common.render import format_table
 from repro.pipeline.hardware import compare_hit_policies, hardware_requirements
 from repro.cache.policies import WriteHitPolicy
+from repro.core.runner import DEFAULT_SEED
 from repro.trace.corpus import BENCHMARK_NAMES, load
 from repro.trace.stats import characterize, format_table1
 
 
-def table1(scale: float = 1.0) -> str:
+def table1(scale: float = 1.0, seed: int = DEFAULT_SEED) -> str:
     """Table 1: test program characteristics of the synthetic corpus."""
-    stats = [characterize(load(name, scale=scale)) for name in BENCHMARK_NAMES]
+    stats = [
+        characterize(load(name, scale=scale, seed=seed)) for name in BENCHMARK_NAMES
+    ]
     return format_table1(stats)
 
 
-def table2(scale: float = 1.0) -> str:
+def table2(scale: float = 1.0, seed: int = DEFAULT_SEED) -> str:
     """Table 2: advantages and disadvantages of WT and WB caches."""
     rows = [
         [row.feature, row.write_through, row.write_back]
@@ -32,7 +35,7 @@ def table2(scale: float = 1.0) -> str:
     )
 
 
-def table3(scale: float = 1.0) -> str:
+def table3(scale: float = 1.0, seed: int = DEFAULT_SEED) -> str:
     """Table 3: hardware requirements for high-performance caches."""
     wb = hardware_requirements(WriteHitPolicy.WRITE_BACK)
     wt = hardware_requirements(WriteHitPolicy.WRITE_THROUGH)

@@ -18,8 +18,8 @@ from typing import Dict, List
 
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy
-from repro.core.figures.base import FigureResult, prefetch_specs
-from repro.core.runner import experiment_key, run_experiment
+from repro.core.figures.base import FigureResult
+from repro.core.runner import DEFAULT_SEED, experiment_key, resolve
 from repro.core.sweep import (
     CACHE_SIZES_KB,
     DEFAULT_CACHE_KB,
@@ -30,63 +30,30 @@ from repro.hierarchy.system import HierarchyConfig, LevelConfig
 from repro.trace.corpus import BENCHMARK_NAMES
 
 
-def _traffic_configs(size_kb: int, line_size: int):
-    """The write-back/write-through config pair behind one x value."""
-    return (
-        CacheConfig(
-            size=size_kb * 1024,
-            line_size=line_size,
-            write_hit=WriteHitPolicy.WRITE_BACK,
-        ),
-        CacheConfig(
-            size=size_kb * 1024,
-            line_size=line_size,
-            write_hit=WriteHitPolicy.WRITE_THROUGH,
-        ),
-    )
-
-
-def _system_spec(name: str, config: CacheConfig, scale: float):
-    """The system-kind spec of a one-level hierarchy over ``config``."""
-    hierarchy = HierarchyConfig(levels=(LevelConfig(cache=config),))
-    return experiment_key("system", name, hierarchy, scale=scale)
-
-
-def _traffic_specs(size_kb: int, line_size: int, scale: float):
-    """The per-workload system-kind spec pairs behind one x value."""
-    wb_config, wt_config = _traffic_configs(size_kb, line_size)
-    return [
-        (
-            _system_spec(name, wb_config, scale),
-            _system_spec(name, wt_config, scale),
-        )
-        for name in BENCHMARK_NAMES
-    ]
-
-
-def _traffic_components(size_kb: int, line_size: int, scale: float) -> Dict[str, float]:
-    instructions = 0
-    read_misses = write_misses = 0
-    wb_transactions = wt_transactions = 0
-    for wb_spec, wt_spec in _traffic_specs(size_kb, line_size, scale):
-        wb = run_experiment(wb_spec)
-        wt = run_experiment(wt_spec)
-        instructions += wb.l1.instructions
-        read_misses += wb.l1.fetches_for_reads
-        write_misses += wb.l1.fetches_for_writes
-        wb_transactions += wb.transactions
-        wt_transactions += wt.transactions
-    return {
-        "write-through": wt_transactions / instructions,
-        "write-back": wb_transactions / instructions,
-        "write misses": write_misses / instructions,
-        "read misses": read_misses / instructions,
-    }
+def _one_level(size_kb: int, line_size: int, write_hit) -> HierarchyConfig:
+    """A one-level hierarchy over one direct-mapped cache."""
+    cache = CacheConfig(size=size_kb * 1024, line_size=line_size, write_hit=write_hit)
+    return HierarchyConfig(levels=(LevelConfig(cache=cache),))
 
 
 def _traffic_figure(
-    figure_id: str, title: str, x_label: str, x_values: List[int], configs, scale: float
+    figure_id: str, title: str, x_label: str, x_values: List[int], geometry,
+    scale: float, seed: int,
 ) -> FigureResult:
+    """``geometry(x)`` gives the ``(size_kb, line_size)`` behind one x value."""
+    specs = {
+        (x, name, write_hit): experiment_key(
+            "system",
+            name,
+            _one_level(*geometry(x), write_hit),
+            scale=scale,
+            seed=seed,
+        )
+        for x in x_values
+        for name in BENCHMARK_NAMES
+        for write_hit in (WriteHitPolicy.WRITE_BACK, WriteHitPolicy.WRITE_THROUGH)
+    }
+    results = resolve(specs.values())
     series: Dict[str, List[float]] = {
         "write-through": [],
         "write-back": [],
@@ -94,9 +61,21 @@ def _traffic_figure(
         "read misses": [],
     }
     for x in x_values:
-        components = configs(x, scale)
-        for key, value in components.items():
-            series[key].append(value)
+        instructions = 0
+        read_misses = write_misses = 0
+        wb_transactions = wt_transactions = 0
+        for name in BENCHMARK_NAMES:
+            wb = results[specs[x, name, WriteHitPolicy.WRITE_BACK]]
+            wt = results[specs[x, name, WriteHitPolicy.WRITE_THROUGH]]
+            instructions += wb.l1.instructions
+            read_misses += wb.l1.fetches_for_reads
+            write_misses += wb.l1.fetches_for_writes
+            wb_transactions += wb.transactions
+            wt_transactions += wt.transactions
+        series["write-through"].append(wt_transactions / instructions)
+        series["write-back"].append(wb_transactions / instructions)
+        series["write misses"].append(write_misses / instructions)
+        series["read misses"].append(read_misses / instructions)
     return FigureResult(
         figure_id=figure_id,
         title=title,
@@ -112,41 +91,27 @@ def _traffic_figure(
     )
 
 
-def fig18(scale: float = 1.0) -> FigureResult:
+def fig18(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Components of traffic vs cache size (16 B lines)."""
-    prefetch_specs(
-        [
-            spec
-            for kb in CACHE_SIZES_KB
-            for pair in _traffic_specs(kb, DEFAULT_LINE_B, scale)
-            for spec in pair
-        ]
-    )
     return _traffic_figure(
         "fig18",
         "Components of traffic vs cache size (16B lines)",
         "cache size (KB)",
         list(CACHE_SIZES_KB),
-        lambda kb, s: _traffic_components(kb, DEFAULT_LINE_B, s),
+        lambda kb: (kb, DEFAULT_LINE_B),
         scale,
+        seed,
     )
 
 
-def fig19(scale: float = 1.0) -> FigureResult:
+def fig19(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Components of traffic vs cache line size (8 KB caches)."""
-    prefetch_specs(
-        [
-            spec
-            for line in LINE_SIZES_B
-            for pair in _traffic_specs(DEFAULT_CACHE_KB, line, scale)
-            for spec in pair
-        ]
-    )
     return _traffic_figure(
         "fig19",
         "Components of traffic vs cache line size (8KB caches)",
         "line size (B)",
         list(LINE_SIZES_B),
-        lambda line, s: _traffic_components(DEFAULT_CACHE_KB, line, s),
+        lambda line: (DEFAULT_CACHE_KB, line),
         scale,
+        seed,
     )

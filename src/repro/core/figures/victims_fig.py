@@ -10,16 +10,18 @@ at the end of the (finite) run, exactly as Section 5 prescribes for
 benchmarks whose working set fits the cache.
 """
 
-from typing import Callable, Dict, List
+from typing import Callable, List
 
 from repro.cache.stats import CacheStats
 from repro.core.figures.base import FigureResult
+from repro.core.runner import DEFAULT_SEED
 from repro.core.sweep import (
     CACHE_SIZES_KB,
     LINE_SIZES_B,
     line_sweep_configs,
+    metric_series,
     size_sweep_configs,
-    sweep,
+    sweep_grid,
 )
 
 
@@ -31,18 +33,15 @@ def _victim_figure(
     configs,
     metric: Callable[[CacheStats], float],
     scale: float,
+    seed: int,
     paper_shape: str,
     flush_metric: Callable[[CacheStats], float] = None,
 ) -> FigureResult:
-    series = sweep(configs, metric, scale=scale)
+    grid = sweep_grid("cache", configs, scale=scale, seed=seed)
+    series = metric_series(grid, metric)
     if flush_metric is not None:
-        flush_series = sweep(configs, flush_metric, scale=scale)
-        combined: Dict[str, List[float]] = {}
-        for name, values in series.items():
-            combined[name] = values
-        for name, values in flush_series.items():
-            combined[f"{name} (flush)"] = values
-        series = combined
+        for name, values in metric_series(grid, flush_metric).items():
+            series[f"{name} (flush)"] = values
     return FigureResult(
         figure_id=figure_id,
         title=title,
@@ -54,7 +53,7 @@ def _victim_figure(
     )
 
 
-def fig20(scale: float = 1.0) -> FigureResult:
+def fig20(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Percent of victims with dirty bytes vs cache size (16 B lines)."""
     return _victim_figure(
         "fig20",
@@ -64,6 +63,7 @@ def fig20(scale: float = 1.0) -> FigureResult:
         size_sweep_configs(),
         lambda stats: 100.0 * stats.fraction_victims_dirty,
         scale,
+        seed,
         paper_shape=(
             "about 50% of victims dirty on average, rising slightly with "
             "cache size; cold-stop anomalies for liver >64KB and yacc "
@@ -73,7 +73,7 @@ def fig20(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig21(scale: float = 1.0) -> FigureResult:
+def fig21(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Percent of bytes dirty in a dirty victim vs cache size (16 B lines)."""
     return _victim_figure(
         "fig21",
@@ -83,6 +83,7 @@ def fig21(scale: float = 1.0) -> FigureResult:
         size_sweep_configs(),
         lambda stats: 100.0 * stats.fraction_bytes_dirty_in_dirty_victim_flush,
         scale,
+        seed,
         paper_shape=(
             "~70% for small caches, gradually rising toward ~90%: bigger "
             "caches let lines accumulate more writes before replacement; "
@@ -91,7 +92,7 @@ def fig21(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig22(scale: float = 1.0) -> FigureResult:
+def fig22(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Percent of bytes dirty per victim vs cache size (flush stop)."""
     return _victim_figure(
         "fig22",
@@ -101,6 +102,7 @@ def fig22(scale: float = 1.0) -> FigureResult:
         size_sweep_configs(),
         lambda stats: 100.0 * stats.fraction_bytes_dirty_per_victim_flush,
         scale,
+        seed,
         paper_shape=(
             "the product of Figs 20 and 21 (flush stop): gradually "
             "increases with cache size — small caches prematurely clean "
@@ -109,7 +111,7 @@ def fig22(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig23(scale: float = 1.0) -> FigureResult:
+def fig23(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Percent of victims with dirty bytes vs line size (8 KB caches)."""
     return _victim_figure(
         "fig23",
@@ -119,6 +121,7 @@ def fig23(scale: float = 1.0) -> FigureResult:
         line_sweep_configs(),
         lambda stats: 100.0 * stats.fraction_victims_dirty,
         scale,
+        seed,
         paper_shape=(
             "about flat or slightly decreasing with line size — writes "
             "are slightly more clustered than reads"
@@ -126,7 +129,7 @@ def fig23(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig24(scale: float = 1.0) -> FigureResult:
+def fig24(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Percent of bytes dirty in a dirty victim vs line size (8 KB caches)."""
     return _victim_figure(
         "fig24",
@@ -136,6 +139,7 @@ def fig24(scale: float = 1.0) -> FigureResult:
         line_sweep_configs(),
         lambda stats: 100.0 * stats.fraction_bytes_dirty_in_dirty_victim_flush,
         scale,
+        seed,
         paper_shape=(
             "100% at 4B lines (no sub-word writes in the ISA), dropping "
             "rapidly to ~40% at 64B; numeric codes stay highest "
@@ -144,7 +148,7 @@ def fig24(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig25(scale: float = 1.0) -> FigureResult:
+def fig25(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Percent of bytes dirty per victim vs line size (8 KB caches)."""
     return _victim_figure(
         "fig25",
@@ -154,6 +158,7 @@ def fig25(scale: float = 1.0) -> FigureResult:
         line_sweep_configs(),
         lambda stats: 100.0 * stats.fraction_bytes_dirty_per_victim_flush,
         scale,
+        seed,
         paper_shape=(
             "significantly decreases as lines grow — less of the extra "
             "data on long lines is useful"

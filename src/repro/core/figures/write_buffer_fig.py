@@ -17,9 +17,9 @@ from typing import Sequence
 
 from repro.buffers.write_buffer import WriteBufferConfig
 from repro.buffers.write_cache import WriteCacheConfig
-from repro.core.figures.base import FigureResult, prefetch_specs
+from repro.core.figures.base import FigureResult
 from repro.core.metrics import mean
-from repro.core.runner import experiment_key, run_experiment
+from repro.core.runner import DEFAULT_SEED, experiment_key, resolve
 from repro.trace.corpus import BENCHMARK_NAMES
 
 #: Fig. 5 x axis: cycles per write-buffer entry retirement.
@@ -31,6 +31,7 @@ def fig05(
     entries: int = 8,
     entry_size: int = 16,
     write_cache_entries: int = 6,
+    seed: int = DEFAULT_SEED,
 ) -> FigureResult:
     """Coalescing write buffer merges vs CPI (Fig. 5)."""
     buffer_specs = {
@@ -41,6 +42,7 @@ def fig05(
                 entries=entries, entry_size=entry_size, retire_interval=interval
             ),
             scale=scale,
+            seed=seed,
         )
         for name in BENCHMARK_NAMES
         for interval in RETIRE_INTERVALS
@@ -48,11 +50,11 @@ def fig05(
     reference_specs = {
         name: experiment_key(
             "write_cache", name, WriteCacheConfig(entries=write_cache_entries),
-            scale=scale,
+            scale=scale, seed=seed,
         )
         for name in BENCHMARK_NAMES
     }
-    prefetch_specs(list(buffer_specs.values()) + list(reference_specs.values()))
+    results = resolve(list(buffer_specs.values()) + list(reference_specs.values()))
 
     merge_series = []
     cpi_series = []
@@ -60,7 +62,7 @@ def fig05(
         merges = []
         cpis = []
         for name in BENCHMARK_NAMES:
-            stats = run_experiment(buffer_specs[name, interval])
+            stats = results[buffer_specs[name, interval]]
             merges.append(100.0 * stats.merge_fraction)
             cpis.append(stats.stall_cpi)
         merge_series.append(mean(merges))
@@ -70,7 +72,7 @@ def fig05(
     # retirement rate.
     write_cache_merges = mean(
         [
-            100.0 * run_experiment(reference_specs[name]).fraction_removed
+            100.0 * results[reference_specs[name]].fraction_removed
             for name in BENCHMARK_NAMES
         ]
     )

@@ -13,14 +13,14 @@ experiment pool, so a warm result store renders these figures without a
 single simulation.
 """
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 from repro.buffers.write_cache import WriteCacheConfig
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy
-from repro.core.figures.base import FigureResult, prefetch_specs
+from repro.core.figures.base import FigureResult
 from repro.core.metrics import mean
-from repro.core.runner import experiment_key, run, run_experiment, run_key
+from repro.core.runner import DEFAULT_SEED, experiment_key, resolve
 from repro.trace.corpus import BENCHMARK_NAMES
 
 #: Fig. 7/8 x axis.
@@ -31,40 +31,58 @@ WB_SIZES_KB: Sequence[int] = (1, 2, 4, 8, 16, 32, 64)
 HIGHLIGHT_ENTRIES: Sequence[int] = (1, 5, 15)
 
 
-def _write_cache_removal(scale: float, entry_counts: Sequence[int]) -> Dict[str, List[float]]:
-    """Percentage of writes removed per workload per entry count."""
-    specs = {
+def _removal(
+    scale: float,
+    seed: int,
+    entry_counts: Sequence[int],
+    wb_sizes_kb: Sequence[int] = (),
+) -> Tuple[Dict[str, List[float]], Dict[Tuple[int, str], float]]:
+    """Percentage of writes removed, resolved in one batch.
+
+    Returns the write caches' removal per workload per entry count, and
+    the 16 B-line write-back caches' removal per ``(size_kb, workload)``.
+    """
+    cache_specs = {
         (name, entries): experiment_key(
-            "write_cache", name, WriteCacheConfig(entries=entries), scale=scale
+            "write_cache", name, WriteCacheConfig(entries=entries),
+            scale=scale, seed=seed,
         )
         for name in BENCHMARK_NAMES
         for entries in entry_counts
     }
-    prefetch_specs(list(specs.values()))
-    return {
+    wb_specs = {
+        (size_kb, name): experiment_key(
+            "cache",
+            name,
+            CacheConfig(
+                size=size_kb * 1024,
+                line_size=16,
+                write_hit=WriteHitPolicy.WRITE_BACK,
+            ),
+            scale=scale,
+            seed=seed,
+        )
+        for size_kb in wb_sizes_kb
+        for name in BENCHMARK_NAMES
+    }
+    results = resolve(list(cache_specs.values()) + list(wb_specs.values()))
+    removal = {
         name: [
-            100.0 * run_experiment(specs[name, entries]).fraction_removed
+            100.0 * results[cache_specs[name, entries]].fraction_removed
             for entries in entry_counts
         ]
         for name in BENCHMARK_NAMES
     }
-
-
-def _write_back_removal(scale: float, size_kb: int, line_size: int = 16) -> Dict[str, float]:
-    """Percentage of writes a write-back cache removes, per workload."""
-    config = CacheConfig(
-        size=size_kb * 1024, line_size=line_size, write_hit=WriteHitPolicy.WRITE_BACK
-    )
-    prefetch_specs([run_key(name, config, scale=scale) for name in BENCHMARK_NAMES])
-    return {
-        name: 100.0 * run(name, config, scale=scale).fraction_writes_to_dirty
-        for name in BENCHMARK_NAMES
+    wb_removal = {
+        point: 100.0 * results[spec].fraction_writes_to_dirty
+        for point, spec in wb_specs.items()
     }
+    return removal, wb_removal
 
 
-def fig07(scale: float = 1.0) -> FigureResult:
+def fig07(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Write cache absolute traffic reduction (Fig. 7)."""
-    removal = _write_cache_removal(scale, ENTRY_COUNTS)
+    removal, _ = _removal(scale, seed, ENTRY_COUNTS)
     removal["average"] = [
         mean([removal[name][index] for name in BENCHMARK_NAMES])
         for index in range(len(ENTRY_COUNTS))
@@ -83,13 +101,14 @@ def fig07(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig08(scale: float = 1.0, wb_size_kb: int = 4) -> FigureResult:
+def fig08(
+    scale: float = 1.0, wb_size_kb: int = 4, seed: int = DEFAULT_SEED
+) -> FigureResult:
     """Write cache traffic reduction relative to a 4 KB write-back cache."""
-    removal = _write_cache_removal(scale, ENTRY_COUNTS)
-    wb_removal = _write_back_removal(scale, wb_size_kb)
+    removal, wb_removal = _removal(scale, seed, ENTRY_COUNTS, (wb_size_kb,))
     relative: Dict[str, List[float]] = {}
     for name in BENCHMARK_NAMES:
-        baseline = wb_removal[name]
+        baseline = wb_removal[wb_size_kb, name]
         relative[name] = [
             100.0 * value / baseline if baseline else 0.0 for value in removal[name]
         ]
@@ -113,18 +132,17 @@ def fig08(scale: float = 1.0, wb_size_kb: int = 4) -> FigureResult:
     )
 
 
-def fig09(scale: float = 1.0) -> FigureResult:
+def fig09(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Relative traffic reduction of a write cache vs write-back cache size."""
-    removal = _write_cache_removal(scale, HIGHLIGHT_ENTRIES)
+    removal, wb_removal = _removal(scale, seed, HIGHLIGHT_ENTRIES, WB_SIZES_KB)
     series: Dict[str, List[float]] = {
         f"{entries} entry write cache": [] for entries in HIGHLIGHT_ENTRIES
     }
     for size_kb in WB_SIZES_KB:
-        wb_removal = _write_back_removal(scale, size_kb)
         for position, entries in enumerate(HIGHLIGHT_ENTRIES):
             relatives = []
             for name in BENCHMARK_NAMES:
-                baseline = wb_removal[name]
+                baseline = wb_removal[size_kb, name]
                 value = removal[name][position]
                 relatives.append(100.0 * value / baseline if baseline else 0.0)
             series[f"{entries} entry write cache"].append(mean(relatives))

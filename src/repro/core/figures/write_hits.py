@@ -7,21 +7,24 @@ over write-through (Section 3's identity).
 """
 
 from repro.core.figures.base import FigureResult
+from repro.core.runner import DEFAULT_SEED
 from repro.core.sweep import (
     CACHE_SIZES_KB,
     LINE_SIZES_B,
     line_sweep_configs,
     size_sweep_configs,
-    sweep,
+    sweep_experiments,
 )
 
 
-def fig01(scale: float = 1.0) -> FigureResult:
+def fig01(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Write-back vs write-through behaviour for 8 KB caches (by line size)."""
-    series = sweep(
+    series = sweep_experiments(
+        "cache",
         line_sweep_configs(),
         lambda stats: 100.0 * stats.fraction_writes_to_dirty,
         scale=scale,
+        seed=seed,
     )
     return FigureResult(
         figure_id="fig01",
@@ -38,12 +41,14 @@ def fig01(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig02(scale: float = 1.0) -> FigureResult:
+def fig02(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Write-back vs write-through behaviour for 16 B lines (by cache size)."""
-    series = sweep(
+    series = sweep_experiments(
+        "cache",
         size_sweep_configs(),
         lambda stats: 100.0 * stats.fraction_writes_to_dirty,
         scale=scale,
+        seed=seed,
     )
     return FigureResult(
         figure_id="fig02",

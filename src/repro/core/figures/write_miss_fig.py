@@ -11,14 +11,14 @@ from typing import Dict, List
 
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
-from repro.core.figures.base import FigureResult, prefetch_grid
+from repro.core.figures.base import FigureResult
 from repro.core.metrics import (
     mean,
     partial_order_violations,
     total_miss_reduction,
     write_miss_reduction,
 )
-from repro.core.runner import run
+from repro.core.runner import DEFAULT_SEED, experiment_key, resolve
 from repro.core.sweep import (
     CACHE_SIZES_KB,
     DEFAULT_CACHE_KB,
@@ -26,7 +26,7 @@ from repro.core.sweep import (
     LINE_SIZES_B,
     size_sweep_configs,
     line_sweep_configs,
-    sweep,
+    sweep_experiments,
 )
 from repro.trace.corpus import BENCHMARK_NAMES
 
@@ -36,6 +36,9 @@ STRATEGIES = (
     WriteMissPolicy.WRITE_AROUND,
     WriteMissPolicy.WRITE_INVALIDATE,
 )
+
+#: Fetch-on-write, the baseline, followed by the three strategies.
+ALL_POLICIES = (WriteMissPolicy.FETCH_ON_WRITE,) + STRATEGIES
 
 
 def _miss_policy_config(size_kb: int, line_size: int, policy: WriteMissPolicy) -> CacheConfig:
@@ -47,12 +50,14 @@ def _miss_policy_config(size_kb: int, line_size: int, policy: WriteMissPolicy) -
     )
 
 
-def fig10(scale: float = 1.0) -> FigureResult:
+def fig10(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Write misses as a percent of all misses vs cache size (16 B lines)."""
-    series = sweep(
+    series = sweep_experiments(
+        "cache",
         size_sweep_configs(write_hit=WriteHitPolicy.WRITE_THROUGH),
         lambda stats: 100.0 * stats.write_miss_fraction,
         scale=scale,
+        seed=seed,
     )
     return FigureResult(
         figure_id="fig10",
@@ -69,12 +74,14 @@ def fig10(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig11(scale: float = 1.0) -> FigureResult:
+def fig11(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Write misses as a percent of all misses vs line size (8 KB caches)."""
-    series = sweep(
+    series = sweep_experiments(
+        "cache",
         line_sweep_configs(write_hit=WriteHitPolicy.WRITE_THROUGH),
         lambda stats: 100.0 * stats.write_miss_fraction,
         scale=scale,
+        seed=seed,
     )
     return FigureResult(
         figure_id="fig11",
@@ -95,6 +102,7 @@ def _reduction_figure(
     configs_for,
     metric,
     scale: float,
+    seed: int,
     paper_shape: str,
 ) -> FigureResult:
     """Shared machinery of Figs 13-16.
@@ -102,28 +110,29 @@ def _reduction_figure(
     ``configs_for(x, policy)`` builds the configuration; ``metric`` is
     :func:`write_miss_reduction` or :func:`total_miss_reduction`.
     """
-    all_policies = (WriteMissPolicy.FETCH_ON_WRITE,) + STRATEGIES
     # One pool batch for the whole x-axis x policy grid: every workload's
-    # configurations land in a single batched task, and the metric loops
-    # below resolve from the in-process memo.
-    prefetch_grid(
-        [configs_for(x, policy) for x in x_values for policy in all_policies],
-        scale=scale,
-    )
+    # configurations land in a single batched task.
+    specs = {
+        (x, policy, name): experiment_key(
+            "cache", name, configs_for(x, policy), scale=scale, seed=seed
+        )
+        for x in x_values
+        for policy in ALL_POLICIES
+        for name in BENCHMARK_NAMES
+    }
+    results = resolve(specs.values())
     per_workload: Dict[str, Dict[str, List[float]]] = {
         policy.value: {name: [] for name in BENCHMARK_NAMES} for policy in STRATEGIES
     }
     series: Dict[str, List[float]] = {policy.value: [] for policy in STRATEGIES}
     for x in x_values:
-        baseline = {
-            name: run(name, configs_for(x, WriteMissPolicy.FETCH_ON_WRITE), scale=scale)
-            for name in BENCHMARK_NAMES
-        }
         for policy in STRATEGIES:
             values = []
             for name in BENCHMARK_NAMES:
-                stats = run(name, configs_for(x, policy), scale=scale)
-                value = metric(baseline[name], stats)
+                value = metric(
+                    results[specs[x, WriteMissPolicy.FETCH_ON_WRITE, name]],
+                    results[specs[x, policy, name]],
+                )
                 per_workload[policy.value][name].append(value)
                 values.append(value)
             series[policy.value].append(mean(values))
@@ -139,7 +148,7 @@ def _reduction_figure(
     )
 
 
-def fig13(scale: float = 1.0) -> FigureResult:
+def fig13(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Write-miss rate reductions of three write strategies (16 B lines)."""
     return _reduction_figure(
         "fig13",
@@ -149,6 +158,7 @@ def fig13(scale: float = 1.0) -> FigureResult:
         lambda kb, policy: _miss_policy_config(kb, DEFAULT_LINE_B, policy),
         write_miss_reduction,
         scale,
+        seed,
         paper_shape=(
             "write-validate > 90% on average; write-around 40-65%; "
             "write-invalidate 30-50%; write-around exceeds 100% on liver "
@@ -157,7 +167,7 @@ def fig13(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig14(scale: float = 1.0) -> FigureResult:
+def fig14(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Total miss rate reductions of three write strategies (16 B lines)."""
     return _reduction_figure(
         "fig14",
@@ -167,6 +177,7 @@ def fig14(scale: float = 1.0) -> FigureResult:
         lambda kb, policy: _miss_policy_config(kb, DEFAULT_LINE_B, policy),
         total_miss_reduction,
         scale,
+        seed,
         paper_shape=(
             "write-validate removes 30-35% of all misses on average "
             "(ccom and liver benefit most; linpack least, being "
@@ -176,7 +187,7 @@ def fig14(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig15(scale: float = 1.0) -> FigureResult:
+def fig15(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Write-miss rate reductions of three write strategies (8 KB caches)."""
     return _reduction_figure(
         "fig15",
@@ -186,6 +197,7 @@ def fig15(scale: float = 1.0) -> FigureResult:
         lambda line, policy: _miss_policy_config(DEFAULT_CACHE_KB, line, policy),
         write_miss_reduction,
         scale,
+        seed,
         paper_shape=(
             "highest benefit at small lines; advantages shrink as line "
             "size grows (more of the fetched old data would have been "
@@ -194,7 +206,7 @@ def fig15(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig16(scale: float = 1.0) -> FigureResult:
+def fig16(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Total miss rate reductions of three write strategies (8 KB caches)."""
     return _reduction_figure(
         "fig16",
@@ -204,6 +216,7 @@ def fig16(scale: float = 1.0) -> FigureResult:
         lambda line, policy: _miss_policy_config(DEFAULT_CACHE_KB, line, policy),
         total_miss_reduction,
         scale,
+        seed,
         paper_shape=(
             "validate and around beat invalidate, which still beats "
             "fetch-on-write; validate/around gap narrows with line size"
@@ -211,59 +224,53 @@ def fig16(scale: float = 1.0) -> FigureResult:
     )
 
 
-def fig17(scale: float = 1.0) -> FigureResult:
+def fig17(scale: float = 1.0, seed: int = DEFAULT_SEED) -> FigureResult:
     """Relative order of fetch traffic for write-miss alternatives.
 
     Verifies the Hasse diagram over every configuration of both standard
     sweeps: fetch traffic of write-validate and write-around never exceeds
     write-invalidate, which never exceeds fetch-on-write.
     """
-    all_policies = (WriteMissPolicy.FETCH_ON_WRITE,) + STRATEGIES
-    # Both sweeps' grids in one prefetch batch (duplicates dedup in the
-    # pool), so the verification loops below never simulate inline.
-    prefetch_grid(
-        [
-            _miss_policy_config(size_kb, DEFAULT_LINE_B, policy)
-            for size_kb in CACHE_SIZES_KB
-            for policy in all_policies
-        ]
-        + [
-            _miss_policy_config(DEFAULT_CACHE_KB, line_size, policy)
-            for line_size in LINE_SIZES_B
-            for policy in all_policies
-        ],
-        scale=scale,
-    )
+    size_points = [(size_kb, DEFAULT_LINE_B) for size_kb in CACHE_SIZES_KB]
+    line_points = [(DEFAULT_CACHE_KB, line_size) for line_size in LINE_SIZES_B]
+    # Both sweeps' grids in one batch (the 8KB/16B point they share
+    # appears once).
+    specs = {
+        (geometry, policy, name): experiment_key(
+            "cache",
+            name,
+            _miss_policy_config(*geometry, policy),
+            scale=scale,
+            seed=seed,
+        )
+        for geometry in size_points + line_points
+        for policy in ALL_POLICIES
+        for name in BENCHMARK_NAMES
+    }
+    results = resolve(specs.values())
+
+    def stats_by_policy(geometry, name):
+        return {
+            policy: results[specs[geometry, policy, name]] for policy in ALL_POLICIES
+        }
+
     violations: List[str] = []
-    series: Dict[str, List[float]] = {policy.value: [] for policy in all_policies}
-    for size_kb in CACHE_SIZES_KB:
-        totals = {policy: 0 for policy in all_policies}
+    series: Dict[str, List[float]] = {policy.value: [] for policy in ALL_POLICIES}
+    for geometry in size_points:
+        totals = {policy: 0 for policy in ALL_POLICIES}
         for name in BENCHMARK_NAMES:
-            stats_by_policy = {
-                policy: run(
-                    name, _miss_policy_config(size_kb, DEFAULT_LINE_B, policy), scale=scale
-                )
-                for policy in all_policies
-            }
-            for violation in partial_order_violations(stats_by_policy):
-                violations.append(f"{name}@{size_kb}KB: {violation}")
-            for policy, stats in stats_by_policy.items():
+            by_policy = stats_by_policy(geometry, name)
+            for violation in partial_order_violations(by_policy):
+                violations.append(f"{name}@{geometry[0]}KB: {violation}")
+            for policy, stats in by_policy.items():
                 totals[policy] += stats.fetches
-        for policy in all_policies:
+        for policy in ALL_POLICIES:
             series[policy.value].append(totals[policy] / 1000.0)
     # Line-size sweep checked for violations only (no extra series).
-    for line_size in LINE_SIZES_B:
+    for geometry in line_points:
         for name in BENCHMARK_NAMES:
-            stats_by_policy = {
-                policy: run(
-                    name,
-                    _miss_policy_config(DEFAULT_CACHE_KB, line_size, policy),
-                    scale=scale,
-                )
-                for policy in all_policies
-            }
-            for violation in partial_order_violations(stats_by_policy):
-                violations.append(f"{name}@{line_size}B: {violation}")
+            for violation in partial_order_violations(stats_by_policy(geometry, name)):
+                violations.append(f"{name}@{geometry[1]}B: {violation}")
     return FigureResult(
         figure_id="fig17",
         title="Relative order of fetch traffic for write miss alternatives",

@@ -13,21 +13,21 @@ fetch-on-write runs with both), so results resolve through three levels:
    (:mod:`repro.exec.experiments`) — :func:`repro.cache.fastsim.simulate_trace`
    for the ``cache`` kind, the matching simulator family for the others.
 
-:func:`run`/:func:`run_key` keep their historical cache-kind signatures;
-:func:`run_experiment`/:func:`experiment_key` are the kind-generic
-equivalents every figure family now goes through.  :func:`prefetch`
-resolves a whole batch (any mix of kinds) at once, optionally fanning
-computation out across worker processes (``jobs > 1``) through
-:class:`~repro.exec.pool.ExperimentPool`; parallel results are
-bit-identical to serial execution.
+:func:`resolve` is the one entry point: a caller builds its whole grid of
+:class:`~repro.exec.keys.ExperimentSpec` (any mix of kinds, usually via
+:func:`experiment_key`), resolves it in one
+:class:`~repro.exec.pool.ExperimentPool` batch — fanning computation out
+across worker processes when ``jobs > 1``, bit-identically to serial
+execution — and indexes the returned ``{spec: stats}`` dict.
+:func:`run` and :func:`run_suite` are one-config conveniences over it.
 """
 
 from typing import Dict, Iterable, Optional, Sequence
 
 from repro.cache.config import CacheConfig
 from repro.cache.stats import CacheStats
-from repro.exec.keys import ExperimentSpec, RunKey
-from repro.exec.pool import ExperimentPool, PoolTelemetry, default_jobs
+from repro.exec.keys import ExperimentSpec
+from repro.exec.pool import ExperimentPool, default_jobs
 from repro.exec.store import ResultStore, open_default_store
 from repro.trace.corpus import BENCHMARK_NAMES, DEFAULT_SCALE
 
@@ -75,24 +75,24 @@ def experiment_key(
     )
 
 
-def run_key(
-    workload: str,
-    config: CacheConfig,
-    scale: float = DEFAULT_SCALE,
-    seed: int = DEFAULT_SEED,
-    flush: bool = True,
-) -> ExperimentSpec:
-    """The content-addressed identity of one ``run()`` call (cache kind)."""
-    return RunKey(workload=workload, scale=scale, seed=seed, config=config,
-                  flush=flush)
+def resolve(
+    specs: Iterable[ExperimentSpec],
+    jobs: Optional[int] = None,
+    callback=None,
+) -> Dict[ExperimentSpec, object]:
+    """Resolve a batch of experiments in one pool call; ``{spec: stats}``.
 
-
-def run_experiment(spec: ExperimentSpec):
-    """Resolve one experiment of any kind (memo -> store -> compute)."""
-    results = ExperimentPool(store=get_store(), jobs=1).run_many(
-        [spec], memo=_run_cache
+    The batch may mix kinds freely — each distinct trace ships to workers
+    once however many kinds consume it.  ``jobs=None`` uses
+    ``$REPRO_JOBS`` (default 1); ``jobs>1`` computes misses in a process
+    pool.  Results land in the memo (and store) as well, so a later batch
+    over the same specs is served without computing; the batch's counters
+    fold into :func:`repro.exec.pool.aggregate_telemetry`.
+    """
+    pool = ExperimentPool(
+        store=get_store(), jobs=default_jobs() if jobs is None else jobs
     )
-    return next(iter(results.values()))
+    return pool.run_many(specs, memo=_run_cache, callback=callback)
 
 
 def run(
@@ -102,27 +102,8 @@ def run(
     seed: int = DEFAULT_SEED,
 ) -> CacheStats:
     """Simulate ``workload`` through ``config`` (memo -> store -> compute)."""
-    return run_experiment(run_key(workload, config, scale=scale, seed=seed))
-
-
-def prefetch(
-    keys: Iterable[ExperimentSpec],
-    jobs: Optional[int] = None,
-    callback=None,
-) -> PoolTelemetry:
-    """Resolve a batch of experiments into the memo (and store) ahead of use.
-
-    The batch may mix kinds freely — each distinct trace ships to workers
-    once however many kinds consume it.  ``jobs=None`` uses
-    ``$REPRO_JOBS`` (default 1); ``jobs>1`` computes misses in a process
-    pool.  Returns the batch telemetry so callers can report
-    memo/store/computed counts.
-    """
-    pool = ExperimentPool(
-        store=get_store(), jobs=default_jobs() if jobs is None else jobs
-    )
-    pool.run_many(keys, memo=_run_cache, callback=callback)
-    return pool.telemetry
+    spec = experiment_key("cache", workload, config, scale=scale, seed=seed)
+    return resolve([spec], jobs=1)[spec]
 
 
 def suite_keys(
@@ -133,7 +114,7 @@ def suite_keys(
 ) -> list:
     """The full configs x workloads grid as a cache-kind spec batch."""
     return [
-        run_key(name, config, scale=scale, seed=seed)
+        experiment_key("cache", name, config, scale=scale, seed=seed)
         for config in configs
         for name in workloads
     ]
@@ -148,8 +129,9 @@ def run_suite(
 ) -> Dict[str, CacheStats]:
     """Simulate every workload through ``config``, preserving order."""
     workloads = list(workloads)
-    prefetch(suite_keys([config], workloads, scale=scale, seed=seed), jobs=jobs)
-    return {name: run(name, config, scale=scale, seed=seed) for name in workloads}
+    specs = suite_keys([config], workloads, scale=scale, seed=seed)
+    results = resolve(specs, jobs=jobs)
+    return {name: results[spec] for name, spec in zip(workloads, specs)}
 
 
 def clear_run_cache() -> None:

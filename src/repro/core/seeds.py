@@ -47,14 +47,14 @@ def seed_sensitivity(
 ) -> SeedSpread:
     """Measure one series of one figure across several workload seeds.
 
-    Note: figure drivers read traces through the corpus cache keyed by
+    Each seed renders the figure over the corpus generated with that
     seed, so this is exactly "regenerate the programs with different
     random draws and redo the experiment".
     """
     per_seed: List[List[float]] = []
     x_values = None
     for seed in seeds:
-        result = _figure_with_seed(figure_id, seed, scale)
+        result = get_figure(figure_id, scale=scale, seed=seed)
         x_values = result.x_values
         per_seed.append(list(result.series[series_name]))
 
@@ -63,72 +63,6 @@ def seed_sensitivity(
     mins = [min(series[i] for series in per_seed) for i in range(points)]
     maxs = [max(series[i] for series in per_seed) for i in range(points)]
     return SeedSpread(figure_id, series_name, x_values, means, mins, maxs)
-
-
-def _figure_with_seed(figure_id: str, seed: int, scale: float):
-    """Evaluate a figure driver against traces generated with ``seed``.
-
-    The drivers take only ``scale``; the seed travels through the corpus
-    loader, so we temporarily rebind the default-seed plumbing in
-    :mod:`repro.core.runner` and :mod:`repro.core.figures` by calling the
-    underlying sweep machinery with patched defaults.
-    """
-    import repro.core.runner as runner_module
-    import repro.trace.corpus as corpus_module
-
-    # Every figure path builds its specs through run_key/experiment_key,
-    # so forcing the seed there (in the runner module and in every module
-    # that imported the builders directly) covers all experiment kinds.
-    original_run_key = runner_module.run_key
-    original_experiment_key = runner_module.experiment_key
-
-    def seeded_run_key(
-        workload, config, scale=corpus_module.DEFAULT_SCALE, **kw
-    ):
-        kw["seed"] = seed
-        return original_run_key(workload, config, scale=scale, **kw)
-
-    def seeded_experiment_key(
-        kind, workload, config, scale=corpus_module.DEFAULT_SCALE, **kw
-    ):
-        kw["seed"] = seed
-        return original_experiment_key(kind, workload, config, scale=scale, **kw)
-
-    import repro.core.sweep as sweep_module
-    import repro.core.figures.traffic_fig as traffic_module
-    import repro.core.figures.write_buffer_fig as write_buffer_module
-    import repro.core.figures.write_cache_fig as write_cache_module
-    import repro.core.figures.tables_fig as tables_module
-
-    patched = [
-        (runner_module, "run_key", seeded_run_key),
-        (runner_module, "experiment_key", seeded_experiment_key),
-        (sweep_module, "experiment_key", seeded_experiment_key),
-        (traffic_module, "experiment_key", seeded_experiment_key),
-        (write_buffer_module, "experiment_key", seeded_experiment_key),
-        (write_cache_module, "experiment_key", seeded_experiment_key),
-        (write_cache_module, "run_key", seeded_run_key),
-    ]
-
-    # Table 1 reads traces directly rather than through the runner.
-    corpus_load = corpus_module.load
-
-    def seeded_load(name, scale=corpus_module.DEFAULT_SCALE, seed_=seed, **kw):
-        return corpus_load(name, scale=scale, seed=seed_)
-
-    patched.append((tables_module, "load", seeded_load))
-
-    saved = [
-        (module, attribute, getattr(module, attribute))
-        for module, attribute, _ in patched
-    ]
-    try:
-        for module, attribute, replacement in patched:
-            setattr(module, attribute, replacement)
-        return get_figure(figure_id, scale=scale)
-    finally:
-        for module, attribute, original in saved:
-            setattr(module, attribute, original)
 
 
 def format_spread(spread: SeedSpread) -> str:

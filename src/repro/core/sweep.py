@@ -10,8 +10,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
-from repro.cache.stats import CacheStats
-from repro.core.runner import experiment_key, prefetch, run_experiment
+from repro.core.runner import DEFAULT_SEED, experiment_key, resolve
 from repro.trace.corpus import BENCHMARK_NAMES
 
 #: Fig. 2 / Fig. 10 x-axis: cache capacity in KB, 16 B lines.
@@ -44,25 +43,21 @@ def config_grid(
     ]
 
 
-def sweep_experiments(
+def sweep_grid(
     kind: str,
     configs: Sequence,
-    metric: Callable,
     workloads: Sequence[str] = BENCHMARK_NAMES,
     scale: float = 1.0,
+    seed: int = DEFAULT_SEED,
     jobs: Optional[int] = None,
     flush: bool = True,
-) -> Dict[str, List[float]]:
-    """Evaluate ``metric`` for each workload across ``configs`` of ``kind``.
+    callback=None,
+) -> Dict[str, List]:
+    """Resolve the configs x workloads grid of ``kind`` in one batch.
 
-    The full configs x workloads grid is prefetched up front — one batch
-    through the experiment pool (parallel when ``jobs`` / ``$REPRO_JOBS``
-    says so, served from the result store on reruns) — so the metric loop
-    below only ever hits the in-process memo.
-
-    Returns one series per workload plus an ``"average"`` series — the
-    unweighted mean across benchmarks, which is how the paper draws its
-    bold average curves.
+    Returns each workload's stats in ``configs`` order.  The batch goes
+    through the experiment pool (parallel when ``jobs`` /
+    ``$REPRO_JOBS`` says so, served from the result store on reruns).
     """
     # Workload-major order: each workload's whole config grid is
     # contiguous, so the pool's batched dispatch sees one maximal group
@@ -71,36 +66,54 @@ def sweep_experiments(
     # size axis: every cache size sharing a line size is served from one
     # reuse-distance ladder profile (see repro.cache.rdsim).
     specs = {
-        (name, index): experiment_key(
-            kind, name, config, scale=scale, flush=flush
-        )
+        name: [
+            experiment_key(kind, name, config, scale=scale, seed=seed, flush=flush)
+            for config in configs
+        ]
         for name in workloads
-        for index, config in enumerate(configs)
     }
-    prefetch(list(specs.values()), jobs=jobs)
-    series: Dict[str, List[float]] = {name: [] for name in workloads}
-    for index in range(len(configs)):
-        for name in workloads:
-            series[name].append(metric(run_experiment(specs[name, index])))
-    series["average"] = [
-        sum(series[name][index] for name in workloads) / len(workloads)
-        for index in range(len(configs))
-    ]
+    results = resolve(
+        [spec for row in specs.values() for spec in row],
+        jobs=jobs,
+        callback=callback,
+    )
+    return {name: [results[spec] for spec in row] for name, row in specs.items()}
+
+
+def metric_series(grid: Dict[str, List], metric: Callable) -> Dict[str, List[float]]:
+    """``metric`` over a :func:`sweep_grid`: one series per workload plus
+    an ``"average"`` series — the unweighted mean across benchmarks, which
+    is how the paper draws its bold average curves."""
+    series = {name: [metric(stats) for stats in row] for name, row in grid.items()}
+    series["average"] = [sum(column) / len(grid) for column in zip(*series.values())]
     return series
 
 
-def sweep(
-    configs: Sequence[CacheConfig],
-    metric: Callable[[CacheStats], float],
+def sweep_experiments(
+    kind: str,
+    configs: Sequence,
+    metric: Callable,
     workloads: Sequence[str] = BENCHMARK_NAMES,
     scale: float = 1.0,
+    seed: int = DEFAULT_SEED,
     jobs: Optional[int] = None,
+    flush: bool = True,
+    callback=None,
 ) -> Dict[str, List[float]]:
-    """Evaluate a cache-kind ``metric`` across ``configs`` (see
-    :func:`sweep_experiments`, of which this is the ``cache`` special
-    case kept for the figure drivers and historical callers)."""
-    return sweep_experiments(
-        "cache", configs, metric, workloads=workloads, scale=scale, jobs=jobs
+    """Evaluate ``metric`` for each workload across ``configs`` of ``kind``
+    (:func:`metric_series` over one :func:`sweep_grid` batch)."""
+    return metric_series(
+        sweep_grid(
+            kind,
+            configs,
+            workloads=workloads,
+            scale=scale,
+            seed=seed,
+            jobs=jobs,
+            flush=flush,
+            callback=callback,
+        ),
+        metric,
     )
 
 

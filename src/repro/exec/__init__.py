@@ -23,8 +23,9 @@ those batches into a pipeline:
   (:class:`FaultPlan`) driving the chaos test suite; inert in
   production.
 
-:mod:`repro.core.runner` builds its ``run``/``prefetch`` API on top, so
-callers rarely touch this package directly.
+:mod:`repro.core.runner` builds its ``resolve`` API on top — one
+:meth:`ExperimentPool.run_many` batch per grid — so callers rarely touch
+this package directly.
 """
 
 from repro.exec.experiments import (

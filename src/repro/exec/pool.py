@@ -274,7 +274,7 @@ class PoolTelemetry(CounterSerde):
 
 #: Process-wide running total across every batch (any pool instance).
 #: Lets multi-batch commands (``repro figures`` renders several figures,
-#: each prefetching its own grid) report one summary line CI can grep.
+#: each resolving its own grid) report one summary line CI can grep.
 _aggregate = PoolTelemetry()
 
 #: Guards ``_aggregate``: batches that resolve without computing finish
@@ -666,12 +666,12 @@ class ExperimentPool:
         """Resolve every spec; returns results in first-seen spec order.
 
         ``memo`` is consulted first and updated in place (the runner passes
-        its per-process cache so pool results feed subsequent ``run()``
-        calls for free).  ``callback`` receives one :class:`RunEvent` per
-        resolution or recovery of this batch.  Telemetry covers exactly
-        this batch and is read back through :attr:`telemetry` on the
-        calling thread; the process-wide :func:`aggregate_telemetry`
-        accumulates across batches.
+        its per-process cache, so a later batch over the same specs is
+        served without touching the store).  ``callback`` receives one
+        :class:`RunEvent` per resolution or recovery of this batch.
+        Telemetry covers exactly this batch and is read back through
+        :attr:`telemetry` on the calling thread; the process-wide
+        :func:`aggregate_telemetry` accumulates across batches.
 
         Thread-safe: :meth:`lookup` runs without the lock, and only a batch
         with specs left to compute takes it, so a batch served wholly from

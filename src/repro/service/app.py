@@ -199,7 +199,6 @@ class ExperimentService:
             self._trim_history()
         with self._telemetry_lock:
             self.telemetry.submitted += 1
-        job.add_event({"type": "job", "id": job.id, "state": "queued"})
         return job
 
     def job(self, job_id: str) -> Optional[Job]:
@@ -230,12 +229,15 @@ class ExperimentService:
                     return
                 continue
             try:
-                self._run_job(job)
+                results = self._run_job(job)
             except BaseException as error:  # never kill a worker thread
-                if job.state not in ("done", "failed"):
-                    job.fail(error)
                 with self._telemetry_lock:
                     self.telemetry.failed += 1
+                job.fail(error)
+            else:
+                with self._telemetry_lock:
+                    self.telemetry.completed += 1
+                job.finish(results)
 
     def _run_batch(self, job: Job, specs: List[ExperimentSpec], reporter):
         """Resolve ``specs`` for ``job`` in one pool batch; folds its
@@ -244,16 +246,9 @@ class ExperimentService:
         job.telemetry.add(self.pool.telemetry)
         return results
 
-    def _run_job(self, job: Job) -> None:
+    def _run_job(self, job: Job) -> List[object]:
+        """Run ``job``'s batch; its results in spec order."""
         job.mark_running()
-        job.add_event(
-            {
-                "type": "job",
-                "id": job.id,
-                "state": "running",
-                "specs": len(job.specs),
-            }
-        )
 
         def reporter(event: RunEvent) -> None:
             if event.source == "coalesced":
@@ -262,32 +257,8 @@ class ExperimentService:
                     self.telemetry.coalesced += 1
             job.add_event({"type": "run", **event.to_dict()})
 
-        try:
-            results = self._run_batch(job, job.specs, reporter)
-            job.finish([results[spec] for spec in job.specs])
-            with self._telemetry_lock:
-                self.telemetry.completed += 1
-            job.add_event(
-                {
-                    "type": "job",
-                    "id": job.id,
-                    "state": "done",
-                    "coalesced": job.coalesced,
-                    "telemetry": job.telemetry.to_dict(),
-                }
-            )
-        except BaseException as error:
-            job.fail(error)
-            with self._telemetry_lock:
-                self.telemetry.failed += 1
-            job.add_event(
-                {
-                    "type": "job",
-                    "id": job.id,
-                    "state": "failed",
-                    "error": job.error,
-                }
-            )
+        results = self._run_batch(job, job.specs, reporter)
+        return [results[spec] for spec in job.specs]
 
     @property
     def catalog(self):

@@ -79,7 +79,7 @@ class Job:
         self.coalesced = 0
         self.created = time.time()
         self.finished: Optional[float] = None
-        self._events: List[dict] = []
+        self._events: List[dict] = [{"type": "job", "id": self.id, "state": "queued"}]
         self._cond = threading.Condition()
 
     # -- event log -----------------------------------------------------------
@@ -109,25 +109,34 @@ class Job:
                 self._cond.wait(remaining)
 
     # -- state transitions ---------------------------------------------------
+    #
+    # Each transition changes the state and logs its ``job`` event in one
+    # critical section, so a stream reader that sees a terminal state has
+    # always been handed the terminal event too.
+
+    def _enter(self, state: str, **fields) -> None:
+        """Switch to ``state`` and log its event (caller holds ``_cond``)."""
+        self.state = state
+        if state in FINISHED_STATES:
+            self.finished = time.time()
+        self._events.append({"type": "job", "id": self.id, "state": state, **fields})
+        self._cond.notify_all()
 
     def mark_running(self) -> None:
         with self._cond:
-            self.state = "running"
-            self._cond.notify_all()
+            self._enter("running", specs=len(self.specs))
 
     def finish(self, results: List[object]) -> None:
         with self._cond:
             self.results = results
-            self.state = "done"
-            self.finished = time.time()
-            self._cond.notify_all()
+            self._enter(
+                "done", coalesced=self.coalesced, telemetry=self.telemetry.to_dict()
+            )
 
     def fail(self, error: BaseException) -> None:
         with self._cond:
             self.error = f"{type(error).__name__}: {error}"
-            self.state = "failed"
-            self.finished = time.time()
-            self._cond.notify_all()
+            self._enter("failed", error=self.error)
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until the job reaches a terminal state (True) or times out."""

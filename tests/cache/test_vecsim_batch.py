@@ -9,7 +9,9 @@ batch order, or the state of the cross-batch plan cache.
 """
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -134,6 +136,27 @@ class TestPlanCache:
             assert_stats_equal(
                 stats, simulate_trace(trace, configs[0]), f"seed={seed}"
             )
+
+
+    def test_dropped_plan_frees_its_arrays_without_the_collector(self):
+        # Every policy's cached state hangs off the set-order stream; a
+        # reference cycle through it would keep trace-length arrays alive
+        # until the cyclic collector happens to run.
+        trace = seeded_trace(75, 400)
+        configs = grid_configs((512,), (16,))
+        vecsim.clear_plan_cache()
+        gc.collect()
+        gc.disable()
+        try:
+            vecsim.simulate_batch(trace, configs, True)
+            (_, plan), = vecsim._PLAN_CACHE.values()
+            (stream,) = plan._streams.values()
+            tag = weakref.ref(stream.tag)
+            del plan, stream
+            vecsim.clear_plan_cache()
+            assert tag() is None
+        finally:
+            gc.enable()
 
 
 class TestFrontEnd:

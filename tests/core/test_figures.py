@@ -70,6 +70,23 @@ def test_figure_structure(figure_id):
     assert "legend" in text
 
 
+@pytest.mark.parametrize("figure_id", FIGURE_IDS)
+def test_figure_resolves_its_grid_in_one_batch(figure_id, monkeypatch):
+    """A (warm) render reads every point from one pool batch."""
+    from repro.exec.pool import ExperimentPool
+
+    batches = []
+    run_many = ExperimentPool.run_many
+
+    def counted(self, keys, *args, **kwargs):
+        batches.append(keys)
+        return run_many(self, keys, *args, **kwargs)
+
+    monkeypatch.setattr(ExperimentPool, "run_many", counted)
+    get_figure(figure_id, scale=TEST_SCALE)
+    assert len(batches) == 1
+
+
 @pytest.mark.parametrize("table_id", TABLE_IDS)
 def test_table_renders(table_id):
     text = get_figure(table_id, scale=TEST_SCALE)

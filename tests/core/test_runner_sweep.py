@@ -4,14 +4,14 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
-from repro.core.runner import clear_run_cache, run, run_suite
+from repro.core.runner import clear_run_cache, experiment_key, resolve, run, run_suite
 from repro.core.sweep import (
     CACHE_SIZES_KB,
     LINE_SIZES_B,
     config_grid,
     line_sweep_configs,
     size_sweep_configs,
-    sweep,
+    sweep_experiments,
 )
 from repro.trace.corpus import BENCHMARK_NAMES
 
@@ -34,6 +34,16 @@ class TestRunner:
     def test_run_suite_order(self):
         results = run_suite(CacheConfig(size=1024, line_size=16), scale=TEST_SCALE)
         assert tuple(results) == BENCHMARK_NAMES
+
+    def test_resolve_returns_every_spec(self):
+        specs = [
+            experiment_key("cache", name, CacheConfig(size=1024, line_size=16),
+                           scale=TEST_SCALE)
+            for name in ("grr", "ccom", "grr")
+        ]
+        results = resolve(specs)
+        assert list(results) == specs[:2]
+        assert results[specs[0]] is run("grr", specs[0].config, scale=TEST_SCALE)
 
     def test_clear_run_cache(self):
         config = CacheConfig(size=512, line_size=16)
@@ -70,7 +80,9 @@ class TestSweepGrids:
 
     def test_sweep_produces_average(self):
         configs = config_grid((1, 4))
-        series = sweep(configs, lambda s: s.miss_ratio, scale=TEST_SCALE)
+        series = sweep_experiments(
+            "cache", configs, lambda s: s.miss_ratio, scale=TEST_SCALE
+        )
         assert set(series) == set(BENCHMARK_NAMES) | {"average"}
         assert len(series["average"]) == 2
         for index in range(2):
@@ -79,6 +91,8 @@ class TestSweepGrids:
 
     def test_miss_ratio_decreases_with_size(self):
         configs = config_grid((1, 8, 64))
-        series = sweep(configs, lambda s: s.miss_ratio, scale=TEST_SCALE)
+        series = sweep_experiments(
+            "cache", configs, lambda s: s.miss_ratio, scale=TEST_SCALE
+        )
         average = series["average"]
         assert average[0] > average[1] > average[2]

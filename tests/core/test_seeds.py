@@ -35,16 +35,11 @@ class TestSeedSensitivity:
         text = format_spread(spread)
         assert "fig01" in text and "max spread" in text
 
-    def test_patching_is_reversible(self):
-        import repro.core.sweep as sweep_module
-        from repro.core.runner import experiment_key as original_experiment_key
-        from repro.core.runner import run_key as original_run_key
 
-        import repro.core.runner as runner_module
-
-        seed_sensitivity("fig01", seeds=(7,), scale=TEST_SCALE)
-        assert sweep_module.experiment_key is original_experiment_key
-        assert runner_module.run_key is original_run_key
+def test_seed_reaches_hierarchy_figures():
+    """The seed must reach every driver, the system-kind ones included."""
+    spread = seed_sensitivity("hier_miss", "+victim", seeds=(1991, 7), scale=0.02)
+    assert spread.max_spread > 0.0
 
 
 class TestSpreadDataclass:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.core import runner
-from repro.core.sweep import CACHE_SIZES_KB, size_sweep_configs, sweep
+from repro.core.sweep import CACHE_SIZES_KB, size_sweep_configs, sweep_experiments
 from repro.exec import pool as pool_module
 from repro.exec.store import ResultStore
 from repro.trace.corpus import BENCHMARK_NAMES
@@ -52,25 +52,32 @@ def test_size_sweep_parallel_matches_serial(fresh_runner, tmp_path):
     configs = size_sweep_configs()
     keys = runner.suite_keys(configs, BENCHMARK_NAMES, scale=SCALE)
     assert len(keys) == len(CACHE_SIZES_KB) * len(BENCHMARK_NAMES)
+    pool_module.reset_aggregate_telemetry()
 
-    telemetry = runner.prefetch(keys, jobs=2)
-    assert telemetry.computed == len(keys)
-    parallel = {key: runner._run_cache[key] for key in keys}
+    parallel = runner.resolve(keys, jobs=2)
+    assert list(parallel) == keys
+    assert pool_module.aggregate_telemetry().computed == len(keys)
 
     # Serial reference: fresh memo, fresh store, jobs=1.
     runner.clear_run_cache()
     runner.set_store(ResultStore(tmp_path / "serial-store"))
-    serial_telemetry = runner.prefetch(keys, jobs=1)
-    assert serial_telemetry.computed == len(keys)
+    pool_module.reset_aggregate_telemetry()
+    serial = runner.resolve(keys, jobs=1)
+    assert pool_module.aggregate_telemetry().computed == len(keys)
     for key in keys:
-        assert runner._run_cache[key] == parallel[key], key.describe()
+        assert serial[key] == parallel[key], key.describe()
 
 
 def test_sweep_prefetches_grid(fresh_runner):
     configs = size_sweep_configs()[:2]
-    series = sweep(configs, lambda stats: stats.miss_ratio, scale=SCALE, jobs=2)
+    pool_module.reset_aggregate_telemetry()
+    series = sweep_experiments(
+        "cache", configs, lambda stats: stats.miss_ratio, scale=SCALE, jobs=2
+    )
     assert set(series) == set(BENCHMARK_NAMES) | {"average"}
-    # Everything the metric loop needed was resolved by the prefetch batch.
+    # The whole grid resolved in one batch: nothing was requested twice.
+    requested = pool_module.aggregate_telemetry().requested
+    assert requested == len(configs) * len(BENCHMARK_NAMES)
     store = runner.get_store()
     assert store.telemetry.writes == len(configs) * len(BENCHMARK_NAMES)
 
@@ -81,11 +88,13 @@ def test_fresh_process_rerun_is_all_store_hits(tmp_path):
         """
         from repro.core import runner
         from repro.core.sweep import size_sweep_configs
+        from repro.exec.pool import aggregate_telemetry
         from repro.trace.corpus import BENCHMARK_NAMES
 
         configs = size_sweep_configs()[:3]
         keys = runner.suite_keys(configs, BENCHMARK_NAMES[:2], scale=0.05)
-        telemetry = runner.prefetch(keys, jobs=2)
+        runner.resolve(keys, jobs=2)
+        telemetry = aggregate_telemetry()
         print("computed", telemetry.computed, "store", telemetry.store_hits)
         """
     )

@@ -1,4 +1,7 @@
-"""Job queue semantics: bounds, priority, fairness."""
+"""Job queue semantics: bounds, priority, fairness, and the job event log."""
+
+import threading
+import time
 
 import pytest
 
@@ -69,3 +72,39 @@ class TestJobQueue:
             queue.push(_job())
         assert queue.pop(0.1) is queued
         assert queue.pop(0.1) is None  # closed and empty
+
+
+class TestJobEvents:
+    @pytest.mark.parametrize(
+        "end, state",
+        [
+            (lambda job: job.finish([]), "done"),
+            (lambda job: job.fail(RuntimeError("boom")), "failed"),
+        ],
+        ids=["finish", "fail"],
+    )
+    def test_blocked_reader_always_gets_the_terminal_event(self, end, state):
+        job = _job()
+        job.mark_running()
+        start = len(job.wait_events(0, 0.0)[0])
+        seen = {}
+
+        def reader():
+            seen["events"], seen["finished"] = job.wait_events(start, 10.0)
+
+        thread = threading.Thread(target=reader)
+        thread.start()
+        time.sleep(0.05)  # let the reader block across the transition
+        end(job)
+        thread.join(10.0)
+        assert not thread.is_alive()
+        assert seen["finished"] is True
+        assert [event["state"] for event in seen["events"]] == [state]
+        assert seen["events"][-1]["type"] == "job"
+
+    def test_log_opens_queued_then_running(self):
+        job = _job()
+        job.mark_running()
+        events, finished = job.wait_events(0, 0.0)
+        assert [event["state"] for event in events] == ["queued", "running"]
+        assert not finished
