@@ -21,11 +21,15 @@ Two entry points:
   parser (:mod:`repro.trace.ingest`) against the line-by-line
   ``read_trace`` reader on the same text file, reported as refs/sec plus
   the speedups.  Every speedup is a ratio taken in one run on one
-  machine.  The script writes no file unless ``--output PATH`` asks for
-  the JSON report (re-recording the committed baseline means passing
-  ``--output benchmarks/BENCH_simulator.json``).  ``--check BASELINE``
-  compares the measured *speedups*
-  against a committed baseline and fails on a >30% regression
+  machine: the two sides are sampled alternately in process CPU time
+  and the speedup is the median of the per-pair ratios, so a slow
+  stretch of a shared host weighs on both sides of a ratio alike
+  (refs/sec fields report each side's fastest sample).  The script
+  writes no file unless ``--output PATH`` asks for the JSON report
+  (re-recording the committed baseline means passing ``--scale 0.15
+  --output benchmarks/BENCH_simulator.json``, the scale CI checks at).
+  ``--check BASELINE`` compares the measured *speedups* against a
+  committed baseline and fails on a >30% regression
   (``--tolerance``); sections absent from the baseline (a freshly added
   benchmark) warn and record instead of failing.  Speedup ratios are
   compared rather than absolute refs/sec because the ratio is what the
@@ -38,6 +42,7 @@ Two entry points:
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 
@@ -178,11 +183,10 @@ def test_reference_simulator_throughput(benchmark, trace):
 
 def test_batch_grid_throughput(benchmark, trace):
     # The batched sweep path: one call for the whole figure-style grid,
-    # cold plans each round so setup cost is charged to the batch.
+    # which builds (and is charged for) its own plans every round.
     grid = batch_grid()
 
     def run():
-        vecsim.clear_plan_cache()
         results, _ = simulate_trace_batch_info(trace, grid)
         return results
 
@@ -192,11 +196,10 @@ def test_batch_grid_throughput(benchmark, trace):
 
 def test_rdsim_ladder_grid_throughput(benchmark, trace):
     # The profiled sweep path: the figs 13-16 size grid collapsed through
-    # reuse-distance ladders, cold plans each round like the batch above.
+    # reuse-distance ladders, built from scratch each round.
     grid = size_ladder_grid()
 
     def run():
-        vecsim.clear_plan_cache()
         results, _ = simulate_trace_batch_info(trace, grid)
         return results
 
@@ -206,11 +209,10 @@ def test_rdsim_ladder_grid_throughput(benchmark, trace):
 
 def test_hier_grid_throughput(benchmark, trace):
     # The hierarchy figure path: level-by-level vector kernel over the
-    # two-level grid, cold plans each round like the batch above.
+    # two-level grid, which builds its own plans each round.
     grid = hier_grid()
 
     def run():
-        vecsim.clear_plan_cache()
         results, _ = simulate_hierarchy_batch_info(trace, grid)
         return results
 
@@ -230,16 +232,38 @@ def test_trace_generation_throughput(benchmark):
 # ---------------------------------------------------------------------------
 
 
-def _best_refs_per_sec(trace, config, engine, repeats):
-    best = float("inf")
+def _cpu_seconds(run):
+    """Process CPU seconds one call of ``run`` takes."""
+    started = time.process_time()
+    run()
+    return time.process_time() - started
+
+
+def _paired(slow, fast, repeats):
+    """Time ``slow`` and ``fast`` alternately over ``repeats`` pairs.
+
+    Returns ``(slow_best, fast_best, speedup)``: each side's fastest
+    sample in seconds and the median of the per-pair ratios
+    ``slow / fast``.  Each pair is taken back to back in process CPU
+    time, so host contention that slows one sample mostly slows its
+    partner too; a ratio of two separately taken best-of-N minima has
+    no such pairing and swings with the host.  One untimed call of each
+    side runs first: a first call pays one-off costs (lazy imports,
+    first-touch pages) that can take several times a warm run.
+    """
+    slow()
+    fast()
+    slow_times, fast_times = [], []
     for _ in range(repeats):
-        started = time.perf_counter()
-        engine(trace, config)
-        best = min(best, time.perf_counter() - started)
-    return len(trace) / best
+        slow_times.append(_cpu_seconds(slow))
+        fast_times.append(_cpu_seconds(fast))
+    speedup = statistics.median(
+        slow_time / fast_time for slow_time, fast_time in zip(slow_times, fast_times)
+    )
+    return min(slow_times), min(fast_times), speedup
 
 
-def run_smoke_grid(workload="grr", scale=0.3, repeats=3):
+def run_smoke_grid(workload="grr", scale=0.3, repeats=5):
     trace = load(workload, scale=scale)
     trace.addresses  # warm the list views so the reference is not charged
     report = {
@@ -251,12 +275,15 @@ def run_smoke_grid(workload="grr", scale=0.3, repeats=3):
     }
     for name, hit, miss in SMOKE_CONFIGS:
         config = CacheConfig(size=8192, line_size=16, write_hit=hit, write_miss=miss)
-        reference = _best_refs_per_sec(trace, config, reference_run, repeats)
-        vector = _best_refs_per_sec(trace, config, vector_run, repeats)
+        reference_best, vector_best, speedup = _paired(
+            lambda: reference_run(trace, config),
+            lambda: vector_run(trace, config),
+            repeats,
+        )
         report["configs"][name] = {
-            "reference_refs_per_sec": round(reference),
-            "vector_refs_per_sec": round(vector),
-            "speedup": round(vector / reference, 2),
+            "reference_refs_per_sec": round(len(trace) / reference_best),
+            "vector_refs_per_sec": round(len(trace) / vector_best),
+            "speedup": round(speedup, 2),
         }
     report["batch"] = _bench_batch_grid(trace, repeats)
     report["rdsim"] = _bench_rdsim_grid(trace, repeats)
@@ -279,97 +306,75 @@ def _bench_ingest(trace, repeats):
     from repro.trace.ingest import iter_trace_chunks
     from repro.trace.io import read_trace, write_trace
 
+    def ingest():
+        assert sum(len(chunk) for chunk in iter_trace_chunks(path)) == len(trace)
+
     handle, path = tempfile.mkstemp(suffix=".trace")
     os.close(handle)
     try:
         write_trace(trace, path)
-        read_best = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            read_trace(path)
-            read_best = min(read_best, time.perf_counter() - started)
-        ingest_best = float("inf")
-        for _ in range(repeats):
-            started = time.perf_counter()
-            parsed = sum(len(chunk) for chunk in iter_trace_chunks(path))
-            ingest_best = min(ingest_best, time.perf_counter() - started)
-        assert parsed == len(trace)
+        read_best, ingest_best, speedup = _paired(
+            lambda: read_trace(path), ingest, repeats
+        )
     finally:
         os.unlink(path)
     return {
         "refs": len(trace),
         "read_trace_refs_per_sec": round(len(trace) / read_best),
         "ingest_refs_per_sec": round(len(trace) / ingest_best),
-        "speedup": round(read_best / ingest_best, 2),
+        "speedup": round(speedup, 2),
     }
 
 
 def _bench_batch_grid(trace, repeats):
     """Grid refs/sec: per-run vector calls vs one batched call.
 
-    Both sides start cold — the batch clears the plan cache each round —
-    so the batched speedup honestly includes plan construction, exactly
-    the cost a pool worker pays per (trace, grid) task.  The batch calls
+    Both sides start cold — every call builds its own plans — so the
+    batched speedup honestly includes plan construction, exactly the
+    cost a pool worker pays per (trace, grid) task.  The batch calls
     vecsim directly, bypassing the profiler: this section owns the
     vecsim-batching ratio, the ``rdsim`` section owns the profiler's.
     """
     grid = batch_grid()
     grid_refs = len(trace) * len(grid)
 
-    single_best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
+    def single():
         for config in grid:
             vector_run(trace, config)
-        single_best = min(single_best, time.perf_counter() - started)
 
-    batch_best = float("inf")
-    for _ in range(repeats):
-        vecsim.clear_plan_cache()
-        started = time.perf_counter()
-        vecsim.simulate_batch(trace, grid, True)
-        batch_best = min(batch_best, time.perf_counter() - started)
-
+    single_best, batch_best, speedup = _paired(
+        single, lambda: vecsim.simulate_batch(trace, grid, True), repeats
+    )
     return {
         "grid_configs": len(grid),
         "grid_refs": grid_refs,
         "single_vector_refs_per_sec": round(grid_refs / single_best),
         "batch_refs_per_sec": round(grid_refs / batch_best),
-        "speedup": round(single_best / batch_best, 2),
+        "speedup": round(speedup, 2),
     }
 
 
 def _bench_rdsim_grid(trace, repeats):
     """Size-sweep grid refs/sec: batched vecsim vs the ladder profiler.
 
-    Same grid, same cold-start rules (plan cache cleared each round, the
-    profiler builds its ladders from scratch), so the speedup is exactly
+    Same grid, same cold-start rules (every call builds its own plans and
+    ladders from scratch), so the speedup is exactly
     what ``simulate_trace_batch_info``'s dispatch gains over the plain
     batched path on the figs 13-16 size sweeps.
     """
     grid = size_ladder_grid()
     grid_refs = len(trace) * len(grid)
-
-    batch_best = float("inf")
-    for _ in range(repeats):
-        vecsim.clear_plan_cache()
-        started = time.perf_counter()
-        vecsim.simulate_batch(trace, grid, True)
-        batch_best = min(batch_best, time.perf_counter() - started)
-
-    rdsim_best = float("inf")
-    for _ in range(repeats):
-        vecsim.clear_plan_cache()
-        started = time.perf_counter()
-        simulate_trace_batch_info(trace, grid)
-        rdsim_best = min(rdsim_best, time.perf_counter() - started)
-
+    batch_best, rdsim_best, speedup = _paired(
+        lambda: vecsim.simulate_batch(trace, grid, True),
+        lambda: simulate_trace_batch_info(trace, grid),
+        repeats,
+    )
     return {
         "grid_configs": len(grid),
         "grid_refs": grid_refs,
         "batch_refs_per_sec": round(grid_refs / batch_best),
         "rdsim_refs_per_sec": round(grid_refs / rdsim_best),
-        "speedup": round(batch_best / rdsim_best, 2),
+        "speedup": round(speedup, 2),
     }
 
 
@@ -378,8 +383,8 @@ def _bench_hier_grid(trace, repeats):
 
     The reference side runs a composed ``CacheSystem`` per config; the
     vector side runs the same grid through
-    ``simulate_hierarchy_batch_info`` with cold plans each round, so its
-    speedup honestly includes plan construction and the L0->L1 boundary
+    ``simulate_hierarchy_batch_info``, which builds its own plans each
+    call, so its speedup honestly includes plan construction and the L0->L1 boundary
     stream materialisation — the full cost a figure render pays.
     ``hier_vector_runs`` is carried into the report so CI can assert the
     kernel actually engaged rather than silently declining to the composed
@@ -387,30 +392,23 @@ def _bench_hier_grid(trace, repeats):
     """
     grid = hier_grid()
     grid_refs = len(trace) * len(grid)
+    info = {}
 
-    reference_best = float("inf")
-    for _ in range(repeats):
-        started = time.perf_counter()
+    def reference():
         for config in grid:
             composed_run(trace, config)
-        reference_best = min(reference_best, time.perf_counter() - started)
 
-    hier_best = float("inf")
-    vector_runs = 0
-    for _ in range(repeats):
-        vecsim.clear_plan_cache()
-        started = time.perf_counter()
-        _, info = simulate_hierarchy_batch_info(trace, grid)
-        hier_best = min(hier_best, time.perf_counter() - started)
-        vector_runs = info["hier_vector_runs"]
+    def hier():
+        info.update(simulate_hierarchy_batch_info(trace, grid)[1])
 
+    reference_best, hier_best, speedup = _paired(reference, hier, repeats)
     return {
         "grid_configs": len(grid),
         "grid_refs": grid_refs,
-        "hier_vector_runs": vector_runs,
+        "hier_vector_runs": info["hier_vector_runs"],
         "reference_refs_per_sec": round(grid_refs / reference_best),
         "hier_refs_per_sec": round(grid_refs / hier_best),
-        "speedup": round(reference_best / hier_best, 2),
+        "speedup": round(speedup, 2),
     }
 
 
@@ -502,7 +500,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", default="grr")
     parser.add_argument("--scale", type=float, default=0.3)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
         "--output",
         type=pathlib.Path,

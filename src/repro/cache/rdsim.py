@@ -72,7 +72,7 @@ from repro.cache import vecsim
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteMissPolicy
 from repro.cache.stats import CacheStats
-from repro.cache.vecsim import _cached_plan, _expand, _shifted
+from repro.cache.vecsim import _TracePlan, _expand, _shifted
 from repro.trace.trace import Trace
 
 #: Write-validate partial-read coverage is solved per byte-*chunk* column
@@ -237,12 +237,11 @@ class _ValidateLadder:
     are stores, so the fill is strictly earlier there by construction.
     """
 
-    __slots__ = ("profile", "levels", "coverage", "_granularity")
+    __slots__ = ("levels", "coverage", "_granularity")
 
     def __init__(
         self, profile: "SizeLadderProfile", line_size: int, chunk: int
     ) -> None:
-        self.profile = profile
         self.levels = len(profile.ladder)
         view = profile._line()
         n = len(view.t)
@@ -270,12 +269,13 @@ class _ValidateLadder:
         self.coverage = coverage.astype(np.int64)
         self._granularity: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-    def tables(self, granularity: int):
+    def tables(self, profile: "SizeLadderProfile", granularity: int):
         """(allocations per level, partial reads per level) at one
-        granularity — the only granularity-dependent work."""
+        granularity — the only granularity-dependent work.  ``profile`` is
+        the one this ladder was built from, passed in rather than kept so
+        a dropped profile frees its arrays without the cyclic collector."""
         entry = self._granularity.get(granularity)
         if entry is None:
-            profile = self.profile
             view = profile._line()
             levels = self.levels
             n = len(view.t)
@@ -487,7 +487,7 @@ class SizeLadderProfile:
         self.line_size = line_size
         self.ladder: Tuple[int, ...] = tuple(sorted(set(int(s) for s in ladder)))
         self._level = {num_sets: j for j, num_sets in enumerate(self.ladder)}
-        self.plan = _cached_plan(trace, line_size)
+        self.plan = _TracePlan(trace, line_size)
         self._build_levels()
         self._line_view: Optional[_LineView] = None
         self._writeback: Optional[_WritebackLadder] = None
@@ -724,7 +724,7 @@ class SizeLadderProfile:
         )
         if config.write_miss is WriteMissPolicy.WRITE_VALIDATE:
             allocations, partials = self._validate_ladder().tables(
-                config.valid_granularity
+                self, config.valid_granularity
             )
             stats.validate_allocations = int(allocations[level])
             stats.read_partial_misses = int(partials[level])
@@ -819,6 +819,9 @@ def simulate_ladder_info(
         if served:
             info.profiled_runs += served
             info.profile_passes += 1
+        # Free this line size's profile before the next one (or the
+        # vecsim fallback) builds its own plan.
+        del profile
     if fallback:
         for index, stats in zip(
             fallback,

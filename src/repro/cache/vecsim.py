@@ -42,9 +42,11 @@ grid of configurations:
 - only the cheap per-config array expressions (hit classification,
   victim/dirty scans, traffic reductions) run once per configuration.
 
-Trace plans are cached across :func:`simulate_batch` calls in a small
-identity-keyed LRU (:data:`PLAN_CACHE_CAP` traces), so a worker batching
-several groups over one shared-memory trace pays for expansion once.
+A plan lives for the call that builds it: :func:`simulate_batch` builds
+one per line size of its grid and drops them all on return, so nothing
+trace-length outlives the call.  A caller that shares a plan across
+several of its own calls (the hierarchy kernel's level 0) builds it and
+passes it in.
 
 Results are bit-identical to :class:`repro.cache.cache.Cache` — the
 differential suites in
@@ -56,7 +58,6 @@ per-stat equality between :func:`simulate_batch` and per-run
 instead.
 """
 
-from collections import OrderedDict
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -77,17 +78,6 @@ _SIZE_MASKS = np.array(
     [(1 << size) - 1 for size in range(LANE_BYTES + 1)], dtype=np.uint64
 )
 
-#: How many ``(trace, line_size)`` plans :func:`simulate_batch` keeps
-#: alive between calls.  Entries hold a strong reference to their trace
-#: (which also pins the ``id()`` the key is built from), so the cap
-#: bounds memory; a full figure grid needs one entry per line size of
-#: the trace currently being batched.
-PLAN_CACHE_CAP = 4
-
-_PLAN_CACHE: "OrderedDict[Tuple[int, int], Tuple[Trace, '_TracePlan']]" = (
-    OrderedDict()
-)
-
 
 def supports(config: CacheConfig) -> bool:
     """Whether this kernel can simulate ``config`` bit-identically."""
@@ -98,55 +88,34 @@ def supports(config: CacheConfig) -> bool:
     )
 
 
-def clear_plan_cache() -> None:
-    """Drop every cached trace plan (benchmarks use this for cold timings)."""
-    _PLAN_CACHE.clear()
-
-
-def _cached_plan(trace: Trace, line_size: int) -> "_TracePlan":
-    """The ``(trace, line_size)`` plan, via the cross-batch LRU cache.
-
-    Keys use ``id(trace)``; the entry keeps the trace referenced so a
-    recycled id can never alias a different trace (the identity check
-    below is then exact).
-    """
-    key = (id(trace), line_size)
-    entry = _PLAN_CACHE.get(key)
-    if entry is not None and entry[0] is trace:
-        _PLAN_CACHE.move_to_end(key)
-        return entry[1]
-    plan = _TracePlan(trace, line_size)
-    _PLAN_CACHE[key] = (trace, plan)
-    while len(_PLAN_CACHE) > PLAN_CACHE_CAP:
-        _PLAN_CACHE.popitem(last=False)
-    return plan
-
-
 def simulate_direct_mapped(
-    trace: Trace, config: CacheConfig, flush: bool, cached: bool = False
+    trace: Trace,
+    config: CacheConfig,
+    flush: bool,
+    plan: Optional["_TracePlan"] = None,
 ) -> CacheStats:
     """Run ``trace`` through a direct-mapped stats-only cache, vectorised.
 
     The caller (:func:`repro.cache.fastsim.simulate_trace`) guarantees
-    :func:`supports`; this function assumes it.  Stateless by default:
-    plans are built fresh (the batch entry point :func:`simulate_batch`
-    is the one that amortises them).  ``cached`` routes the plan through
-    the cross-call LRU instead — the hierarchy kernel uses it so a sweep
-    of systems over one trace shares the trace-side passes.
+    :func:`supports`; this function assumes it.  The plan is built fresh
+    and dropped on return unless the caller passes ``plan`` — the
+    ``(trace, config.line_size)`` plan it shares across its own calls
+    (the hierarchy kernel does, so a grid of systems over one trace pays
+    the trace-side passes once per line size).
     """
     assert supports(config), "caller must check vecsim.supports(config)"
     if len(trace) == 0:
         return _empty_stats(trace, config)
-    plan = (
-        _cached_plan(trace, config.line_size)
-        if cached
-        else _TracePlan(trace, config.line_size)
-    )
+    if plan is None:
+        plan = _TracePlan(trace, config.line_size)
     return _simulate_on_plan(plan, plan.stream(config.num_sets), config, flush)
 
 
 def simulate_with_outcomes(
-    trace: Trace, config: CacheConfig, flush: bool, cached: bool = False
+    trace: Trace,
+    config: CacheConfig,
+    flush: bool,
+    plan: Optional["_TracePlan"] = None,
 ) -> Tuple[CacheStats, "BoundaryOutcomes"]:
     """:func:`simulate_direct_mapped` plus the run's downstream events.
 
@@ -157,16 +126,14 @@ def simulate_with_outcomes(
     address and dirty byte mask), demand line fetches and write-throughs
     — plus the end-of-run flush write-backs in set-index order.  The
     hierarchy kernel (:mod:`repro.hierarchy.hiersim`) materializes these
-    into the next level's reference stream.
+    into the next level's reference stream.  ``plan`` is as in
+    :func:`simulate_direct_mapped`.
     """
     assert supports(config), "caller must check vecsim.supports(config)"
     if len(trace) == 0:
         return _empty_stats(trace, config), BoundaryOutcomes.empty(config.line_size)
-    plan = (
-        _cached_plan(trace, config.line_size)
-        if cached
-        else _TracePlan(trace, config.line_size)
-    )
+    if plan is None:
+        plan = _TracePlan(trace, config.line_size)
     stream = plan.stream(config.num_sets)
     stats = _simulate_on_plan(plan, stream, config, flush)
     return stats, _derive_outcomes(plan, stream, config, flush)
@@ -183,7 +150,8 @@ def simulate_batch(
     internally so that every config at one line size shares one trace
     plan and every config at one ``(line_size, num_sets)`` geometry
     shares one set-order plan; only the per-policy classification runs
-    per config.
+    per config.  Each line size's plan is freed before the next one is
+    built, and none outlives the call.
     """
     configs = list(configs)
     for config in configs:
@@ -195,7 +163,7 @@ def simulate_batch(
     for index, config in enumerate(configs):
         by_line_size.setdefault(config.line_size, []).append(index)
     for line_size, indices in by_line_size.items():
-        plan = _cached_plan(trace, line_size)
+        plan = _TracePlan(trace, line_size)
         by_num_sets = {}
         for index in indices:
             by_num_sets.setdefault(configs[index].num_sets, []).append(index)
@@ -205,6 +173,7 @@ def simulate_batch(
                 results[index] = _simulate_on_plan(
                     plan, stream, configs[index], flush
                 )
+        del plan, stream
     return results
 
 

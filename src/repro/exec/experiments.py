@@ -58,8 +58,8 @@ class ExperimentKind:
     #: spec of the kind as a grid of one.  The pool's degradation ladder
     #: may re-dispatch any contiguous *sub-list* of a failed group (batch
     #: bisection), so a batch runner must accept arbitrary subsets of a
-    #: grid it has seen before — never assume a fixed grid shape or carry
-    #: state between calls beyond caches keyed by the inputs themselves.
+    #: grid it has seen before — never assume a fixed grid shape, and
+    #: carry no state between calls.
     batch_runner: Optional[Callable] = None
     #: Optional config class with ``to_dict``/``from_dict``; kinds that
     #: register one can round-trip whole :class:`ExperimentSpec`\ s through

@@ -59,15 +59,10 @@ def run_cache_grid(specs, trace):
     groups specs that agree on ``(workload, scale, seed, flush)``, so one
     ``flush`` value covers the grid — and that invariant survives batch
     bisection, since any sub-list of a uniform group is itself uniform.
-    The batched kernels carry no state between calls beyond caches keyed
-    by their inputs, so re-dispatching a bisected half stays
-    bit-identical to the original grid.
-
-    A grid of one stays on :func:`run_cache`: it shares nothing, and the
-    per-spec route's fresh vecsim plan is not retained in the plan cache.
+    The batched kernels carry no state between calls, so re-dispatching
+    a bisected half stays bit-identical to the original grid.  A grid of
+    one is a one-config batch: the same stats as :func:`run_cache`.
     """
-    if len(specs) == 1:
-        return [run_cache(specs[0], trace)], {}
     flush = specs[0].flush
     assert all(spec.flush == flush for spec in specs)
     results, info = simulate_trace_batch_info(

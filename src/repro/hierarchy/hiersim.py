@@ -36,10 +36,11 @@ meter over :func:`repro.cache.fastsim.simulate_trace`.
 The route depends on the configuration alone.  The composed
 :class:`~repro.hierarchy.system.CacheSystem` is the oracle the
 vectorized route is tested against, and tests call it directly.
-Top-level trace plans go through vecsim's cross-call LRU, so a sweep of
+:func:`simulate_hierarchy_batch_info` builds one top-level trace plan
+per level-0 line size and shares it across its grid, so a sweep of
 hierarchies over one trace pays the trace-side passes once per line
 size — the pool's batched ``system`` dispatch (``hier_vector_runs``
-telemetry) leans on this.
+telemetry) leans on this.  The plans are dropped when the call returns.
 
 See docs/hierarchy.md ("Vectorized hierarchy kernel") for the
 materialization rules and the decline matrix.
@@ -258,9 +259,14 @@ def _composed(trace: Trace, levels: Sequence[LevelConfig], flush: bool) -> Syste
 
 
 def _simulate(
-    trace: Trace, config: HierarchyConfig, flush: bool
+    trace: Trace, config: HierarchyConfig, flush: bool, plan=None
 ) -> Tuple[SystemStats, int]:
-    """One hierarchy run; returns ``(stats, vectorized_level_count)``."""
+    """One hierarchy run; returns ``(stats, vectorized_level_count)``.
+
+    ``plan``, when given, is level 0's vecsim trace plan, shared by the
+    caller across its grid; deeper levels build fresh plans over their
+    materialized streams.
+    """
     levels = config.levels
     level_results: List[LevelStats] = []
     meters: List[TrafficMeter] = []
@@ -273,11 +279,11 @@ def _simulate(
         if supports_level(level):
             if last:
                 stats = vecsim.simulate_direct_mapped(
-                    current, level.cache, flush, cached=index == 0
+                    current, level.cache, flush, plan if index == 0 else None
                 )
             else:
                 stats, outcomes = vecsim.simulate_with_outcomes(
-                    current, level.cache, flush, cached=index == 0
+                    current, level.cache, flush, plan if index == 0 else None
                 )
                 current = materialize_stream(outcomes)
             vectorized += 1
@@ -326,15 +332,25 @@ def simulate_hierarchy_batch_info(
 
     Results are per-config bit-identical to :func:`simulate_hierarchy`;
     the batch entry point exists so the top-level trace plan (and its
-    per-geometry segment streams) is shared across the grid via vecsim's
-    plan cache.  The returned info dict's ``hier_vector_runs`` counts
-    runs whose first level went through the vector kernel — the pool
-    folds it into :class:`~repro.exec.pool.PoolTelemetry`.
+    per-geometry segment streams) is built once per level-0 line size
+    and shared across the grid, then dropped on return.  The returned
+    info dict's ``hier_vector_runs`` counts runs whose first level went
+    through the vector kernel — the pool folds it into
+    :class:`~repro.exec.pool.PoolTelemetry`.
     """
     results: List[SystemStats] = []
     vector_runs = 0
+    plans = {}
     for config in configs:
-        stats, vectorized = _simulate(trace, _as_hierarchy(config), flush)
+        config = _as_hierarchy(config)
+        top = config.levels[0]
+        plan = None
+        if len(trace) and supports_level(top):
+            line_size = top.cache.line_size
+            if line_size not in plans:
+                plans[line_size] = vecsim._TracePlan(trace, line_size)
+            plan = plans[line_size]
+        stats, vectorized = _simulate(trace, config, flush, plan)
         results.append(stats)
         if vectorized:
             vector_runs += 1

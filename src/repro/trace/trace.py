@@ -219,19 +219,6 @@ class Trace:
         """Total bytes transferred by all references."""
         return int(self._sizes.sum(dtype=np.int64))
 
-    def to_arrays(self) -> dict:
-        """Export as numpy arrays for vectorised analysis.
-
-        Kept for backward compatibility (and its historical unsigned
-        dtypes); prefer the zero-copy ``*_array`` properties.
-        """
-        return {
-            "addresses": np.asarray(self._addresses, dtype=np.uint64),
-            "sizes": np.asarray(self._sizes, dtype=np.uint8),
-            "kinds": np.asarray(self._kinds, dtype=np.uint8),
-            "icounts": np.asarray(self._icounts, dtype=np.uint32),
-        }
-
     def writes_only(self) -> "Trace":
         """A sub-trace holding only store references, preserving order.
 

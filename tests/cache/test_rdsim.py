@@ -13,6 +13,8 @@ through the profiler, single-size groups and direct
 pool's telemetry reports how many runs the profiler served.
 """
 
+import weakref
+
 import pytest
 from test_vecsim import COMBOS, assert_stats_equal, reference_stats, seeded_trace
 
@@ -192,6 +194,30 @@ class TestShapesAndFallback:
                 vecsim.simulate_direct_mapped(trace, config, True),
                 config.describe(),
             )
+
+    def test_write_validate_ladder_frees_its_profile_on_return(
+        self, built_plans, monkeypatch
+    ):
+        # The write-validate ladder is cached on its profile; if it also
+        # pointed back at the profile, the pair would outlive the call
+        # until the cyclic collector (off here) ran.
+        trace = seeded_trace(64, 400)
+        configs = ladder_configs(
+            16, miss=WriteMissPolicy.WRITE_VALIDATE, granularity=4
+        )
+        thresholds = []
+        profile_init = rdsim.SizeLadderProfile.__init__
+
+        def record(self, *args):
+            profile_init(self, *args)
+            thresholds.append(weakref.ref(self.thresholds))
+
+        monkeypatch.setattr(rdsim.SizeLadderProfile, "__init__", record)
+        _, info = rdsim.simulate_ladder_info(trace, configs, flush=True)
+        assert info.profiled_runs == len(configs)
+        assert len(thresholds) == 1
+        assert thresholds[0]() is None
+        assert built_plans.alive() == []
 
 
 def profiled_grid_specs(workload="ccom"):

@@ -4,14 +4,12 @@
 config-independent trace passes across a configuration grid; these
 differential sweeps are the contract that the sharing never leaks into
 the statistics — every config in a batch produces exactly what a
-stand-alone ``simulate_trace`` call produces, whatever the grid mix, the
-batch order, or the state of the cross-batch plan cache.
+stand-alone ``simulate_trace`` call produces, whatever the grid mix or
+the batch order.
 """
 
 import dataclasses
-import gc
 import random
-import weakref
 
 import pytest
 
@@ -106,30 +104,20 @@ class TestBatchDifferential:
 
 
 class TestPlanCache:
+    """Plans live for one call: repeat calls and distinct traces still
+    agree with per-run simulation, and nothing outlives the call."""
+
     def test_cache_reuse_is_bit_identical(self):
         trace = seeded_trace(71, 300)
         configs = grid_configs((512,), (16,))
-        vecsim.clear_plan_cache()
         first = vecsim.simulate_batch(trace, configs, True)
-        # Second call hits the cached plan; results must not drift.
         second = vecsim.simulate_batch(trace, configs, True)
         for a, b in zip(first, second):
             assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
-    def test_cache_is_bounded(self):
-        trace = seeded_trace(72, 100)
-        vecsim.clear_plan_cache()
-        for line_size in (4, 8, 16, 32, 64, 128):
-            vecsim.simulate_batch(
-                trace, [CacheConfig(size=1024, line_size=line_size)], True
-            )
-        assert len(vecsim._PLAN_CACHE) <= vecsim.PLAN_CACHE_CAP
-
     def test_distinct_traces_never_alias(self):
-        # Same shape, different contents: the identity-keyed cache must
-        # not serve one trace's plan for the other.
+        # Same shape, different contents: each call plans its own trace.
         configs = [CacheConfig(size=256, line_size=16)]
-        vecsim.clear_plan_cache()
         for seed in (73, 74):
             trace = seeded_trace(seed, 200)
             (stats,) = vecsim.simulate_batch(trace, configs, True)
@@ -137,26 +125,16 @@ class TestPlanCache:
                 stats, simulate_trace(trace, configs[0]), f"seed={seed}"
             )
 
-
-    def test_dropped_plan_frees_its_arrays_without_the_collector(self):
-        # Every policy's cached state hangs off the set-order stream; a
-        # reference cycle through it would keep trace-length arrays alive
-        # until the cyclic collector happens to run.
+    def test_batch_frees_its_plans_on_return(self, built_plans):
+        # Every policy's state hangs off the set-order streams; nothing
+        # may keep a plan or stream array once the call returns, and
+        # freeing must not wait for the cyclic collector.
         trace = seeded_trace(75, 400)
-        configs = grid_configs((512,), (16,))
-        vecsim.clear_plan_cache()
-        gc.collect()
-        gc.disable()
-        try:
-            vecsim.simulate_batch(trace, configs, True)
-            (_, plan), = vecsim._PLAN_CACHE.values()
-            (stream,) = plan._streams.values()
-            tag = weakref.ref(stream.tag)
-            del plan, stream
-            vecsim.clear_plan_cache()
-            assert tag() is None
-        finally:
-            gc.enable()
+        configs = grid_configs((512, 2048), (16, 32))
+        vecsim.simulate_batch(trace, configs, True)
+        assert sorted(line for _, line in built_plans.plans) == [16, 32]
+        assert built_plans.arrays
+        assert built_plans.alive() == []
 
 
 class TestFrontEnd:

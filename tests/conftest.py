@@ -5,8 +5,12 @@ integration-style tests is session-scoped; unit tests build tiny traces
 by hand instead.
 """
 
+import gc
+import weakref
+
 import pytest
 
+from repro.cache import vecsim
 from repro.trace.corpus import BENCHMARK_NAMES, load
 from repro.trace.events import READ, WRITE, MemRef
 from repro.trace.trace import Trace
@@ -71,3 +75,49 @@ def make_trace(ops, name="test"):
         size = op[2] if len(op) > 2 else 4
         refs.append(MemRef(address, size, kind))
     return Trace.from_refs(refs, name=name)
+
+
+class PlanRecorder:
+    """What vecsim built while a test ran.
+
+    ``plans`` lists ``(trace, line_size)`` per trace plan; ``arrays``
+    holds weak references to one trace-length array of every plan and
+    set-order stream (both use ``__slots__`` without ``__weakref__``, so
+    their arrays stand in for them).
+    """
+
+    def __init__(self):
+        self.plans = []
+        self.arrays = []
+
+    def alive(self):
+        return [ref for ref in self.arrays if ref() is not None]
+
+
+@pytest.fixture()
+def built_plans(monkeypatch):
+    """A :class:`PlanRecorder` fed by every vecsim plan and stream built
+    during the test (rdsim's ladder profiles build theirs through the
+    same class).  The cyclic collector is off for the test, so an array
+    that is still alive afterwards is referenced, not merely uncollected.
+    """
+    recorder = PlanRecorder()
+    plan_init = vecsim._TracePlan.__init__
+    stream_init = vecsim._SegmentStream.__init__
+
+    def record_plan(self, trace, line_size):
+        plan_init(self, trace, line_size)
+        recorder.plans.append((trace, line_size))
+        recorder.arrays.append(weakref.ref(self.line_number))
+
+    def record_stream(self, plan, num_sets):
+        stream_init(self, plan, num_sets)
+        recorder.arrays.append(weakref.ref(self.tag))
+
+    monkeypatch.setattr(vecsim._TracePlan, "__init__", record_plan)
+    monkeypatch.setattr(vecsim._SegmentStream, "__init__", record_stream)
+    gc.disable()
+    try:
+        yield recorder
+    finally:
+        gc.enable()

@@ -130,18 +130,21 @@ class TestMixedBatch:
         assert pool.telemetry.batched_runs == 0
         assert pool.telemetry.computed == 2
 
-    def test_singleton_cache_spec_skips_the_batched_kernel(self, monkeypatch):
-        from repro.exec import runners
-
-        def batched(*args, **kwargs):
-            raise AssertionError("a lone cache spec took the batched kernel")
-
-        monkeypatch.setattr(runners, "simulate_trace_batch_info", batched)
+    def test_singleton_cache_spec_matches_the_runner(self):
         spec = cache_grid("ccom", sizes=(1024,))[0]
         results = ExperimentPool(store=None, jobs=1).run_many([spec])
         trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
         expected = get_kind("cache").runner(spec, trace)
         assert results[spec].to_dict() == expected.to_dict()
+
+    @pytest.mark.parametrize("sizes", [(1024,), (1024, 4096)])
+    def test_cache_specs_free_their_plans_on_return(self, built_plans, sizes):
+        # A lone spec and a grid alike: once run_many returns, no vecsim
+        # plan or stream array is left behind.
+        specs = cache_grid("ccom", sizes=sizes)
+        ExperimentPool(store=None, jobs=1).run_many(specs)
+        assert built_plans.plans
+        assert built_plans.alive() == []
 
     @pytest.mark.parametrize("workloads", [("ccom",), ("ccom", "yacc")])
     def test_singleton_system_specs_count_vector_runs(self, workloads):

@@ -228,3 +228,35 @@ class TestBatchInfo:
         assert info["hier_vector_runs"] == 2
         for config, stats in zip([vectorizable, declining, vectorizable], results):
             assert stats.to_dict() == composed(trace, config).to_dict(), config.name
+
+    @staticmethod
+    def two_level_grid():
+        """Two L1 sizes at each of two L1 line sizes, over one L2."""
+        return [
+            HierarchyConfig(
+                levels=(
+                    LevelConfig(cache=CacheConfig(size=size, line_size=line_size)),
+                    LevelConfig(cache=CacheConfig(size=8192, line_size=32)),
+                )
+            )
+            for line_size in (16, 32)
+            for size in (512, 1024)
+        ]
+
+    def test_one_level0_plan_per_line_size(self, built_plans):
+        # The grid shares its top-level plans: one per L1 line size, no
+        # matter how many configs use it.
+        trace = busy_trace()
+        hiersim.simulate_hierarchy_batch_info(trace, self.two_level_grid())
+        top = [line for planned, line in built_plans.plans if planned is trace]
+        assert sorted(top) == [16, 32]
+
+    def test_batch_frees_its_plans_on_return(self, built_plans):
+        trace = busy_trace()
+        grid = self.two_level_grid()
+        results, info = hiersim.simulate_hierarchy_batch_info(trace, grid)
+        assert info["hier_vector_runs"] == len(grid)
+        assert built_plans.arrays
+        assert built_plans.alive() == []
+        for config, stats in zip(grid, results):
+            assert stats.to_dict() == composed(trace, config).to_dict(), config.name

@@ -95,11 +95,6 @@ class TestTransforms:
         assert len(double) == 2 * len(tiny_trace)
         assert double.instruction_count == 2 * tiny_trace.instruction_count
 
-    def test_to_arrays(self, tiny_trace):
-        arrays = tiny_trace.to_arrays()
-        assert arrays["addresses"].dtype == np.uint64
-        assert arrays["kinds"].tolist() == tiny_trace.kinds
-
 
 class TestFootprint:
     def test_touched_lines_simple(self):
