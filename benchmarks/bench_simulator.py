@@ -423,10 +423,10 @@ def measure_fault_gate_overhead(trace, config, repeats=3, calls=100_000):
     calls a run pays must stay under a fraction of a percent of the
     cheapest real simulation.
     """
+    from repro.core.runner import experiment_key
     from repro.exec import faults
-    from repro.exec.keys import RunKey
 
-    spec = RunKey("grr", 0.3, 1991, config)
+    spec = experiment_key("cache", "grr", config, 0.3, 1991)
     gate_best = float("inf")
     for _ in range(repeats):
         started = time.perf_counter()

@@ -44,9 +44,11 @@ grid of configurations:
 
 A plan lives for the call that builds it: :func:`simulate_batch` builds
 one per line size of its grid and drops them all on return, so nothing
-trace-length outlives the call.  A caller that shares a plan across
-several of its own calls (the hierarchy kernel's level 0) builds it and
-passes it in.
+trace-length outlives the call.  A plan keeps only its latest set-order
+stream, so :func:`simulate_batch` visits each line size's configs
+geometry by geometry and holds one stream at a time.  A caller that
+shares a plan across several of its own calls (the hierarchy kernel's
+level 0) builds it and passes it in.
 
 Results are bit-identical to :class:`repro.cache.cache.Cache` — the
 differential suites in
@@ -150,8 +152,9 @@ def simulate_batch(
     internally so that every config at one line size shares one trace
     plan and every config at one ``(line_size, num_sets)`` geometry
     shares one set-order plan; only the per-policy classification runs
-    per config.  Each line size's plan is freed before the next one is
-    built, and none outlives the call.
+    per config.  Each line size's plan, and each geometry's set-order
+    plan, is freed before the next one is built, and none outlives the
+    call.
     """
     configs = list(configs)
     for config in configs:
@@ -164,16 +167,15 @@ def simulate_batch(
         by_line_size.setdefault(config.line_size, []).append(index)
     for line_size, indices in by_line_size.items():
         plan = _TracePlan(trace, line_size)
-        by_num_sets = {}
+        # Geometry by geometry: the plan keeps one set-order stream, which
+        # every config of that geometry shares before the next replaces it.
+        indices.sort(key=lambda index: configs[index].num_sets)
         for index in indices:
-            by_num_sets.setdefault(configs[index].num_sets, []).append(index)
-        for num_sets, group in by_num_sets.items():
-            stream = plan.stream(num_sets)
-            for index in group:
-                results[index] = _simulate_on_plan(
-                    plan, stream, configs[index], flush
-                )
-        del plan, stream
+            config = configs[index]
+            results[index] = _simulate_on_plan(
+                plan, plan.stream(config.num_sets), config, flush
+            )
+        del plan
     return results
 
 
@@ -258,8 +260,8 @@ class _TracePlan:
     Holds the per-line segment expansion in program order — line numbers
     (the address above the offset bits), sizes, offsets, byte masks and
     store flags — plus the trace-level counter totals.  Every cache size
-    and policy at this line size shares one instance; the per-geometry
-    set-order plans are cached on it (:meth:`stream`).
+    and policy at this line size shares one instance; it keeps the latest
+    per-geometry set-order plan (:meth:`stream`).
     """
 
     __slots__ = (
@@ -276,7 +278,7 @@ class _TracePlan:
         "load_segments",
         "store_segments",
         "store_bytes",
-        "_streams",
+        "_stream",
     )
 
     def __init__(self, trace: Trace, line_size: int) -> None:
@@ -317,14 +319,19 @@ class _TracePlan:
         self.store_segments = int(np.count_nonzero(seg_store))
         self.load_segments = len(seg_store) - self.store_segments
         self.store_bytes = int(seg_size[seg_store].sum(dtype=np.int64))
-        self._streams = {}
+        self._stream = None
 
     def stream(self, num_sets: int) -> "_SegmentStream":
-        """The cached set-order plan for ``num_sets`` frames."""
-        stream = self._streams.get(num_sets)
-        if stream is None:
-            stream = self._streams[num_sets] = _SegmentStream(self, num_sets)
-        return stream
+        """The set-order plan for ``num_sets`` frames.
+
+        Only the latest one is kept: another geometry drops it before its
+        own is built, so a caller that visits its configs geometry by
+        geometry holds one stream's arrays at a time.
+        """
+        if self._stream is None or self._stream.num_sets != num_sets:
+            self._stream = None
+            self._stream = _SegmentStream(self, num_sets)
+        return self._stream
 
 
 class _SegmentStream:
@@ -342,6 +349,7 @@ class _SegmentStream:
 
     __slots__ = (
         "line_size",
+        "num_sets",
         "order",
         "set_index",
         "tag",
@@ -369,6 +377,7 @@ class _SegmentStream:
         set_index = plan.line_number & (num_sets - 1)
         order = np.argsort(set_index, kind="stable")
         self.line_size = plan.line_size
+        self.num_sets = num_sets
         #: Program-order index of each grouped-order segment; scattering
         #: through it (``program[order] = grouped``) restores program
         #: order, which the boundary-outcome export needs.

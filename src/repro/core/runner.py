@@ -10,8 +10,9 @@ fetch-on-write runs with both), so results resolve through three levels:
    ``off`` to disable persistence), which makes repeated figure and
    benchmark regeneration near-instant across processes;
 3. computation via the experiment kind's registered runner
-   (:mod:`repro.exec.experiments`) — :func:`repro.cache.fastsim.simulate_trace`
-   for the ``cache`` kind, the matching simulator family for the others.
+   (:mod:`repro.exec.experiments`) — one call per same-trace grid,
+   :func:`repro.cache.fastsim.simulate_trace_batch_info` for the
+   ``cache`` kind, the matching simulator family for the others.
 
 :func:`resolve` is the one entry point: a caller builds its whole grid of
 :class:`~repro.exec.keys.ExperimentSpec` (any mix of kinds, usually via

@@ -10,8 +10,7 @@ those batches into a pipeline:
   stable kind tag (:func:`register_runner`);
 - :mod:`repro.exec.keys` — :class:`ExperimentSpec`, the content-addressed
   identity of one run (the kind's engine version is part of the hash, so
-  engine changes invalidate that kind's results only); :func:`RunKey`
-  builds the cache-kind spec;
+  engine changes invalidate that kind's results only);
 - :mod:`repro.exec.store` — :class:`ResultStore`, an atomic,
   corruption-tolerant on-disk map from specs to their kind's stats;
 - :mod:`repro.exec.pool` — :class:`ExperimentPool`, a deduplicating
@@ -46,7 +45,7 @@ from repro.exec.faults import (
     active_plan,
     set_active_plan,
 )
-from repro.exec.keys import ExperimentSpec, RunKey
+from repro.exec.keys import ExperimentSpec
 from repro.exec.pool import (
     ENV_JOBS,
     ENV_RETRIES,
@@ -74,7 +73,6 @@ from repro.exec.store import (
 __all__ = [
     "ExperimentKind",
     "ExperimentSpec",
-    "RunKey",
     "UnknownExperimentKind",
     "engine_version_for",
     "get_kind",

@@ -10,7 +10,9 @@ look like.  This module holds that per-family knowledge as a registry of
 
 Each kind contributes:
 
-- ``runner(spec, trace) -> stats`` — the actual simulation;
+- ``runner(specs, trace) -> (stats_list, counters)`` — the actual
+  simulation of a list of specs that share one trace (see
+  :class:`ExperimentKind`);
 - ``stats_type`` — the dataclass with ``kind``/``to_dict``/``from_dict``,
   used to (de)serialize store records;
 - ``engine_version`` — folded into every content address of that kind, so
@@ -42,25 +44,20 @@ class ExperimentKind:
     """Everything the experiment layer knows about one simulator family."""
 
     name: str
+    #: ``runner(specs, trace) -> (stats_list, counters)``: one stats per
+    #: spec, in spec order, plus a dict of dispatch counters
+    #: (``profiled_runs``, ``profile_passes``, ``hier_vector_runs``; may
+    #: be ``{}``) the pool folds into
+    #: :class:`~repro.exec.pool.PoolTelemetry`.  The pool hands it every
+    #: pending spec that agrees on ``(workload, scale, seed, flush)`` —
+    #: a lone spec is a list of one — and its degradation ladder may
+    #: re-dispatch any contiguous *sub-list* of a failed group (batch
+    #: bisection), so a runner must accept arbitrary subsets of a grid it
+    #: has seen before and carry no state between calls.
     runner: Callable
     stats_type: type
     engine_version: str
     schema_version: int = 1
-    #: Optional ``batch_runner(specs, trace) -> ([stats, ...], counters)``
-    #: for kinds whose engine can amortise trace passes across several
-    #: specs that share one trace (see
-    #: ``repro.cache.fastsim.simulate_trace_batch_info``).  Must return
-    #: results in spec order, each bit-identical to ``runner(spec, trace)``,
-    #: plus a dict of dispatch counters (``profiled_runs``,
-    #: ``profile_passes``, ``hier_vector_runs``) the pool folds into
-    #: :class:`~repro.exec.pool.PoolTelemetry`.  The pool only groups specs
-    #: that agree on ``(workload, scale, seed, flush)``, and runs a lone
-    #: spec of the kind as a grid of one.  The pool's degradation ladder
-    #: may re-dispatch any contiguous *sub-list* of a failed group (batch
-    #: bisection), so a batch runner must accept arbitrary subsets of a
-    #: grid it has seen before — never assume a fixed grid shape, and
-    #: carry no state between calls.
-    batch_runner: Optional[Callable] = None
     #: Optional config class with ``to_dict``/``from_dict``; kinds that
     #: register one can round-trip whole :class:`ExperimentSpec`\ s through
     #: JSON (the experiment service's wire format).  Kinds without one
@@ -88,11 +85,12 @@ def register_runner(
     engine_version,
     schema_version: int = 1,
     replace: bool = False,
-    batch_runner: Optional[Callable] = None,
     config_type: Optional[type] = None,
 ) -> ExperimentKind:
     """Register (or, with ``replace``, override) an experiment kind.
 
+    ``runner`` takes ``(specs, trace)`` and returns ``(stats_list,
+    counters)`` (see :attr:`ExperimentKind.runner`).
     ``stats_type`` must carry a ``kind`` class attribute equal to ``name``
     plus ``to_dict``/``from_dict`` — the store relies on all three.
     ``config_type``, when given, must round-trip through
@@ -123,7 +121,6 @@ def register_runner(
         stats_type=stats_type,
         engine_version=str(engine_version),
         schema_version=schema_version,
-        batch_runner=batch_runner,
         config_type=config_type,
     )
     _REGISTRY[name] = kind

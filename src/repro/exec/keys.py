@@ -13,16 +13,11 @@ Config objects plug in via duck typing: anything frozen/hashable with a
 ``cache_key()`` canonical string and a ``name`` property participates
 (:class:`~repro.cache.config.CacheConfig`,
 :class:`~repro.buffers.write_buffer.WriteBufferConfig`, ...).
-
-:func:`RunKey` survives as a factory for the original cache-kind spec, so
-``RunKey("ccom", 1.0, 1991, CacheConfig())`` keeps meaning what it always
-did.
 """
 
 import hashlib
 from dataclasses import dataclass
 
-from repro.cache.config import CacheConfig
 from repro.exec.experiments import engine_version_for, get_kind
 
 
@@ -114,21 +109,3 @@ class ExperimentSpec:
             config=kind.config_type.from_dict(payload["config"]),
             flush=bool(payload.get("flush", True)),
         )
-
-
-def RunKey(
-    workload: str,
-    scale: float,
-    seed: int,
-    config: CacheConfig,
-    flush: bool = True,
-) -> ExperimentSpec:
-    """Build a cache-kind :class:`ExperimentSpec` (the original key shape)."""
-    return ExperimentSpec(
-        kind="cache",
-        workload=workload,
-        scale=scale,
-        seed=seed,
-        config=config,
-        flush=flush,
-    )

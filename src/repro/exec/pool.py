@@ -27,11 +27,13 @@ regenerating from the deterministic generators — either way parallel
 results are bit-identical to serial execution, which the test suite
 enforces per kind.
 
-Kinds that register a batch runner (the ``cache`` kind does, via
-``repro.cache.fastsim.simulate_trace_batch_info``) get *batched dispatch*:
-pending misses of such a kind that agree on ``(workload, scale, seed,
-flush)`` travel to a worker as one task, so the batched kernel shares
-the trace-side passes across the whole configuration grid.  Results stay
+Every kind's runner takes a list of specs over one trace (see
+:mod:`repro.exec.experiments`), so every kind gets *batched dispatch*:
+pending misses that agree on ``(kind, workload, scale, seed, flush)``
+travel to a worker as one task, and a kernel that can (``cache`` via
+``repro.cache.fastsim.simulate_trace_batch_info``, ``system`` via
+``repro.hierarchy.hiersim.simulate_hierarchy_batch_info``) shares the
+trace-side passes across the whole configuration grid.  Results stay
 per-spec — each is individually content-addressed, persisted and
 reported through the same :class:`RunEvent` path as an unbatched run.
 
@@ -316,24 +318,14 @@ class _Task:
         return _Task(self.specs, self.batched, degraded=True, inline=True)
 
 
-def _run_one(spec: ExperimentSpec, trace) -> Tuple[object, float, Optional[dict]]:
-    """Run one spec; returns ``(stats, seconds, counters)``.
-
-    A kind with a batch runner runs the spec as a grid of one, so its
-    dispatch counters (``hier_vector_runs`` and the like) reach telemetry
-    on the single-spec route too; other kinds go through their per-spec
-    runner and report no counters.
-    """
-    kind = get_kind(spec.kind)
+def _run_one(spec: ExperimentSpec, trace) -> Tuple[object, float, dict]:
+    """Run one spec as a list of one; returns ``(stats, seconds, counters)``."""
     started = time.perf_counter()
-    if kind.batch_runner is None:
-        stats, counters = kind.runner(spec, trace), None
-    else:
-        (stats,), counters = kind.batch_runner([spec], trace)
+    (stats,), counters = get_kind(spec.kind).runner([spec], trace)
     return stats, time.perf_counter() - started, counters
 
 
-def _execute(spec: ExperimentSpec, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int], Optional[dict]]:
+def _execute(spec: ExperimentSpec, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int], dict]:
     """Run one experiment; used both inline and inside worker processes.
 
     Dispatches through the kind registry, so worker processes resolve the
@@ -351,7 +343,7 @@ def _execute(spec: ExperimentSpec, attempt: int = 0, plan=None) -> Tuple[object,
     return _sealed(spec, attempt, plan, *_run_one(spec, trace))
 
 
-def _execute_shared(spec: ExperimentSpec, handle, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int], Optional[dict]]:
+def _execute_shared(spec: ExperimentSpec, handle, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int], dict]:
     """Run one experiment against a trace shipped in shared memory.
 
     Falls back to regenerating the trace if the page cannot be mapped or
@@ -380,8 +372,8 @@ def _sealed(spec, attempt, plan, stats, seconds, counters):
     return stats, seconds, checksum, counters
 
 
-def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float, Optional[list], Optional[dict]]:
-    """Run a group of same-trace specs through their kind's batch runner.
+def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float, Optional[list], dict]:
+    """Run a group of same-trace specs through their kind's runner.
 
     ``handle`` is an optional shared-memory trace handle (None means
     regenerate in-process); ``attempts`` aligns per-spec attempt numbers
@@ -411,12 +403,12 @@ def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float
         spec = specs[0]
         trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
     started = time.perf_counter()
-    stats_list, counters = kind.batch_runner(specs, trace)
+    stats_list, counters = kind.runner(specs, trace)
     stats_list = list(stats_list)
     seconds = time.perf_counter() - started
     if len(stats_list) != len(specs):
         raise RuntimeError(
-            f"batch runner for kind {kind.name!r} returned "
+            f"runner for kind {kind.name!r} returned "
             f"{len(stats_list)} results for {len(specs)} specs"
         )
     checksums = None
@@ -569,18 +561,14 @@ class ExperimentPool:
     def _plan_batches(self, pending):
         """Split pending misses into batched groups and per-run singles.
 
-        Specs of a kind with a registered batch runner group by
-        ``(kind, workload, scale, seed, flush)`` — everything a batch
-        runner is allowed to assume is shared.  Only groups of two or
-        more become batched tasks; a group of one runs as a single task
-        (see :func:`_run_one`).
+        Specs group by ``(kind, workload, scale, seed, flush)`` —
+        everything a runner is allowed to assume is shared.  Only groups
+        of two or more become batched tasks; a group of one runs as a
+        single task (see :func:`_run_one`).
         """
         groups: Dict[tuple, list] = {}
         singles = []
         for spec in pending:
-            if get_kind(spec.kind).batch_runner is None:
-                singles.append(spec)
-                continue
             identity = (spec.kind, spec.workload, spec.scale, spec.seed, spec.flush)
             groups.setdefault(identity, []).append(spec)
         batches = []

@@ -1,5 +1,10 @@
 """Builtin experiment runners — one per simulator family.
 
+Every runner has the one registry shape, ``runner(specs, trace) ->
+(stats_list, counters)`` over specs that share one trace: the ``cache``
+and ``system`` runners hand the whole grid to a batched kernel, and the
+buffer runners run each spec through its family's model in turn.
+
 Imported lazily by :mod:`repro.exec.experiments` on first kind lookup;
 the module-level :func:`~repro.exec.experiments.register_runner` calls at
 the bottom are what make the builtin kinds exist.  Worker processes hit
@@ -30,23 +35,11 @@ from repro.buffers.write_cache import (
     WriteCacheStats,
 )
 from repro.cache.config import CacheConfig
-from repro.cache.fastsim import (
-    SIMULATOR_VERSION,
-    simulate_trace,
-    simulate_trace_batch_info,
-)
+from repro.cache.fastsim import SIMULATOR_VERSION, simulate_trace_batch_info
 from repro.cache.stats import CacheStats
 from repro.exec.experiments import register_runner
-from repro.hierarchy.hiersim import (
-    simulate_hierarchy,
-    simulate_hierarchy_batch_info,
-)
+from repro.hierarchy.hiersim import simulate_hierarchy_batch_info
 from repro.hierarchy.system import SYSTEM_ENGINE_VERSION, HierarchyConfig, SystemStats
-
-
-def run_cache(spec, trace):
-    """L1 cache counters via the fast simulator."""
-    return simulate_trace(trace, spec.config, flush=spec.flush)
 
 
 def run_cache_grid(specs, trace):
@@ -60,8 +53,7 @@ def run_cache_grid(specs, trace):
     ``flush`` value covers the grid — and that invariant survives batch
     bisection, since any sub-list of a uniform group is itself uniform.
     The batched kernels carry no state between calls, so re-dispatching
-    a bisected half stays bit-identical to the original grid.  A grid of
-    one is a one-config batch: the same stats as :func:`run_cache`.
+    a bisected half stays bit-identical to the original grid.
     """
     flush = specs[0].flush
     assert all(spec.flush == flush for spec in specs)
@@ -74,26 +66,26 @@ def run_cache_grid(specs, trace):
     }
 
 
-def run_write_buffer(spec, trace):
-    """Coalescing write buffer timing model (no flush concept: the buffer
-    always drains on its own; ``spec.flush`` is identity-only here)."""
-    return spec.config.build().simulate(trace)
+def run_write_buffers(specs, trace):
+    """Coalescing write buffer timing model, one run per spec (no flush
+    concept: the buffer always drains on its own; ``spec.flush`` is
+    identity-only here)."""
+    return [spec.config.build().simulate(trace) for spec in specs], {}
 
 
-def run_write_cache(spec, trace):
-    """Stand-alone write cache over the store stream of the trace."""
-    return spec.config.build().run_writes(trace, flush=spec.flush)
+def run_write_caches(specs, trace):
+    """Stand-alone write caches over the store stream of the trace."""
+    return [
+        spec.config.build().run_writes(trace, flush=spec.flush) for spec in specs
+    ], {}
 
 
-def run_victim_buffer(spec, trace):
-    """Dirty-victim buffer timing behind the configured write-back cache."""
-    times, instructions = dirty_victim_times(trace, spec.config.cache)
-    return spec.config.build().simulate(times, instructions)
-
-
-def run_system(spec, trace):
-    """Composed hierarchy: L1 + optional structures + metered memory."""
-    return simulate_hierarchy(trace, spec.config, flush=spec.flush)
+def run_victim_buffers(specs, trace):
+    """Dirty-victim buffer timing behind each spec's write-back cache."""
+    return [
+        spec.config.build().simulate(*dirty_victim_times(trace, spec.config.cache))
+        for spec in specs
+    ], {}
 
 
 def run_system_grid(specs, trace):
@@ -107,49 +99,46 @@ def run_system_grid(specs, trace):
     """
     flush = specs[0].flush
     assert all(spec.flush == flush for spec in specs)
-    results, info = simulate_hierarchy_batch_info(
+    return simulate_hierarchy_batch_info(
         trace, [spec.config for spec in specs], flush=flush
     )
-    return results, {"hier_vector_runs": info["hier_vector_runs"]}
 
 
 register_runner(
     "cache",
-    run_cache,
+    run_cache_grid,
     CacheStats,
     SIMULATOR_VERSION,
-    batch_runner=run_cache_grid,
     config_type=CacheConfig,
 )
 register_runner(
     "write_buffer",
-    run_write_buffer,
+    run_write_buffers,
     WriteBufferStats,
     WRITE_BUFFER_ENGINE_VERSION,
     config_type=WriteBufferConfig,
 )
 register_runner(
     "write_cache",
-    run_write_cache,
+    run_write_caches,
     WriteCacheStats,
     WRITE_CACHE_ENGINE_VERSION,
     config_type=WriteCacheConfig,
 )
 register_runner(
     "victim_buffer",
-    run_victim_buffer,
+    run_victim_buffers,
     VictimBufferStats,
     f"{VICTIM_BUFFER_ENGINE_VERSION}+sim{SIMULATOR_VERSION}",
     config_type=VictimBufferConfig,
 )
 register_runner(
     "system",
-    run_system,
+    run_system_grid,
     SystemStats,
     f"{SYSTEM_ENGINE_VERSION}+sim{SIMULATOR_VERSION}",
     # v2: per-level stats lists + per-boundary meters (the hierarchy
     # refactor); v1 records quarantine on read rather than misdecode.
     schema_version=2,
-    batch_runner=run_system_grid,
     config_type=HierarchyConfig,
 )

@@ -18,9 +18,10 @@ the next-level components and the glue:
   :class:`repro.hierarchy.system.LevelStats` — the serializable result
   of one hierarchy run.
 - :func:`repro.hierarchy.hiersim.simulate_hierarchy` — runs a hierarchy
-  graph (the registered ``system`` experiment kind): level by level
-  through the vector kernel where it can, composed where a level
-  declines, bit-identical either way.
+  graph level by level through the vector kernel where it can, composed
+  where a level declines, bit-identical either way (the registered
+  ``system`` experiment kind runs its grids through
+  ``simulate_hierarchy_batch_info``).
 - :class:`repro.hierarchy.system.CacheLevelBackend` — adapter that lets a
   :class:`~repro.cache.cache.Cache` serve as the next level below another
   cache; :class:`repro.hierarchy.system.MeteringBackend` counts any

@@ -29,9 +29,7 @@ suites enforce it stat-for-stat.  A level the kernel cannot take
 sectored, data-carrying) *declines*: the remaining sub-hierarchy runs
 composed over the already-materialized stream, so vectorized upper
 levels keep their speed (mirroring the decline contract
-:mod:`repro.cache.rdsim` established).  A structure-free stats-only
-*final* level outside the vector kernel's shape still gets a derived
-meter over :func:`repro.cache.fastsim.simulate_trace`.
+:mod:`repro.cache.rdsim` established).
 
 The route depends on the configuration alone.  The composed
 :class:`~repro.hierarchy.system.CacheSystem` is the oracle the
@@ -50,7 +48,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache import fastsim, vecsim
+from repro.cache import vecsim
 from repro.hierarchy.memory import TrafficMeter
 from repro.hierarchy.system import (
     CacheSystem,
@@ -69,16 +67,12 @@ def supports_level(level: LevelConfig) -> bool:
     Requires a bare level (no attached structures) whose cache the
     vector kernel covers (direct-mapped, stats-only, non-sectored).
     """
-    return _bare_level(level) and vecsim.supports(level.cache)
-
-
-def _bare_level(level: LevelConfig) -> bool:
-    """No attached structures (the cache itself may still be anything)."""
     return (
         level.write_cache_entries == 0
         and level.victim_entries == 0
         and level.miss_entries == 0
         and level.stream_buffers == 0
+        and vecsim.supports(level.cache)
     )
 
 
@@ -291,15 +285,6 @@ def _simulate(
             meters.append(_derived_meter(stats, level.cache.line_size))
             index += 1
             continue
-        if last and _bare_level(level) and not level.cache.store_data:
-            # Outside the vector kernel's shape but still meter-derivable:
-            # the structure-free final level keeps the one-level fast path
-            # (fastsim picks the best engine for the cache itself).
-            stats = fastsim.simulate_trace(current, level.cache, flush=flush)
-            level_results.append(LevelStats(cache=stats))
-            meters.append(_derived_meter(stats, level.cache.line_size))
-            index += 1
-            continue
         # Decline: the rest of the graph runs composed over the
         # materialized stream (its own boundary meters included).
         declined = _composed(current, levels[index:], flush)
@@ -331,27 +316,31 @@ def simulate_hierarchy_batch_info(
     """A grid of hierarchy runs over one trace, plus dispatch counters.
 
     Results are per-config bit-identical to :func:`simulate_hierarchy`;
-    the batch entry point exists so the top-level trace plan (and its
-    per-geometry segment streams) is built once per level-0 line size
-    and shared across the grid, then dropped on return.  The returned
-    info dict's ``hier_vector_runs`` counts runs whose first level went
-    through the vector kernel — the pool folds it into
-    :class:`~repro.exec.pool.PoolTelemetry`.
+    the batch entry point exists so the top-level trace plan is built
+    once per level-0 line size and shared across the grid, then dropped
+    before the next line size.  Configs run level-0 geometry by
+    geometry, so the plan's one set-order stream serves every config
+    that shares it.  The returned info dict's ``hier_vector_runs`` counts
+    runs whose first level went through the vector kernel — the pool
+    folds it into :class:`~repro.exec.pool.PoolTelemetry`.
     """
-    results: List[SystemStats] = []
+    configs = [_as_hierarchy(config) for config in configs]
+    results: List[SystemStats] = [None] * len(configs)
     vector_runs = 0
-    plans = {}
-    for config in configs:
-        config = _as_hierarchy(config)
+    by_line_size = {}
+    for index, config in enumerate(configs):
         top = config.levels[0]
-        plan = None
-        if len(trace) and supports_level(top):
-            line_size = top.cache.line_size
-            if line_size not in plans:
-                plans[line_size] = vecsim._TracePlan(trace, line_size)
-            plan = plans[line_size]
-        stats, vectorized = _simulate(trace, config, flush, plan)
-        results.append(stats)
-        if vectorized:
-            vector_runs += 1
+        vector_top = len(trace) and supports_level(top)
+        key = top.cache.line_size if vector_top else None
+        by_line_size.setdefault(key, []).append(index)
+    for line_size, indices in by_line_size.items():
+        plan = None if line_size is None else vecsim._TracePlan(trace, line_size)
+        indices.sort(key=lambda index: configs[index].levels[0].cache.num_sets)
+        for index in indices:
+            results[index], vectorized = _simulate(
+                trace, configs[index], flush, plan
+            )
+            if vectorized:
+                vector_runs += 1
+        del plan
     return results, {"hier_vector_runs": vector_runs}

@@ -12,8 +12,8 @@ Ingesting the same reference stream twice — different filenames, one
 gzipped, different chunkings — lands on the same hash and therefore the
 same entry.  Experiments name catalog traces ``ingested:<hash>``
 (resolved by :func:`repro.trace.corpus.load`), which folds the content
-hash into every ``RunKey`` so results dedup across the pool and store
-exactly like generated workloads.
+hash into every ``ExperimentSpec`` so results dedup across the pool and
+store exactly like generated workloads.
 
 Like the result store, :meth:`TraceCatalog.gc` never deletes evidence:
 records that do not parse or whose payload went missing are moved to a

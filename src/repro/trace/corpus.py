@@ -30,7 +30,7 @@ def load(name: str, scale: float = DEFAULT_SCALE, seed: int = 1991) -> Trace:
     resolve through the trace catalog (:mod:`repro.trace.catalog`) to an
     externally captured trace; ``scale`` and ``seed`` are ignored for
     those (the content hash alone fixes the reference stream, which is
-    exactly why it keys the ``RunKey``).
+    exactly why it keys the ``ExperimentSpec``).
     """
     if name.startswith("ingested:"):
         from repro.trace.catalog import open_default_catalog

@@ -136,6 +136,20 @@ class TestPlanCache:
         assert built_plans.arrays
         assert built_plans.alive() == []
 
+    def test_batch_holds_one_stream_at_a_time(self, built_plans):
+        # Geometries interleave in the grid; each set-order stream is
+        # built once and dropped before the next one is built.
+        trace = seeded_trace(76, 400)
+        configs = [
+            CacheConfig(size=size, line_size=16, write_hit=hit, write_miss=miss)
+            for hit, miss in COMBOS
+            for size in (512, 1024, 2048)
+        ]
+        batched = vecsim.simulate_batch(trace, configs, True)
+        assert built_plans.live_streams == [1, 1, 1]
+        for config, stats in zip(configs, batched):
+            assert_stats_equal(stats, simulate_trace(trace, config), config.name)
+
 
 class TestFrontEnd:
     """fastsim.simulate_trace_batch_info: dispatch + fallback semantics."""

@@ -83,12 +83,16 @@ class PlanRecorder:
     ``plans`` lists ``(trace, line_size)`` per trace plan; ``arrays``
     holds weak references to one trace-length array of every plan and
     set-order stream (both use ``__slots__`` without ``__weakref__``, so
-    their arrays stand in for them).
+    their arrays stand in for them).  ``live_streams`` gives, per stream
+    built, how many streams' arrays were alive just after it was built
+    (itself included).
     """
 
     def __init__(self):
         self.plans = []
         self.arrays = []
+        self.streams = []
+        self.live_streams = []
 
     def alive(self):
         return [ref for ref in self.arrays if ref() is not None]
@@ -113,6 +117,10 @@ def built_plans(monkeypatch):
     def record_stream(self, plan, num_sets):
         stream_init(self, plan, num_sets)
         recorder.arrays.append(weakref.ref(self.tag))
+        recorder.streams.append(weakref.ref(self.tag))
+        recorder.live_streams.append(
+            sum(ref() is not None for ref in recorder.streams)
+        )
 
     monkeypatch.setattr(vecsim._TracePlan, "__init__", record_plan)
     monkeypatch.setattr(vecsim._SegmentStream, "__init__", record_stream)

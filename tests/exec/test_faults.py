@@ -17,6 +17,7 @@ import pytest
 from repro.buffers.write_buffer import WriteBufferConfig
 from repro.cache.config import CacheConfig
 from repro.common.errors import ConfigurationError
+from repro.core.runner import experiment_key
 from repro.exec import faults as faults_module
 from repro.exec.faults import (
     FaultPlan,
@@ -25,7 +26,7 @@ from repro.exec.faults import (
     ResultIntegrityError,
     retry_delay,
 )
-from repro.exec.keys import ExperimentSpec, RunKey
+from repro.exec.keys import ExperimentSpec
 from repro.exec.pool import ExperimentPool, verbose_reporter
 from repro.exec.store import ResultStore
 
@@ -43,7 +44,9 @@ def _fault_isolation():
 
 def cache_grid(workload="ccom", sizes=(1024, 2048, 4096, 8192)):
     return [
-        RunKey(workload, SCALE, SEED, CacheConfig(size=size, line_size=16))
+        experiment_key(
+            "cache", workload, CacheConfig(size=size, line_size=16), SCALE, SEED
+        )
         for size in sizes
     ]
 

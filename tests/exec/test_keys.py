@@ -1,4 +1,4 @@
-"""ExperimentSpec / RunKey: stable, collision-free content addresses."""
+"""ExperimentSpec: stable, collision-free content addresses."""
 
 import dataclasses
 
@@ -6,60 +6,56 @@ import pytest
 
 from repro.buffers.write_cache import WriteCacheConfig
 from repro.cache.config import CacheConfig
+from repro.core.runner import experiment_key
 from repro.exec import experiments
 from repro.exec.experiments import UnknownExperimentKind, get_kind
-from repro.exec.keys import ExperimentSpec, RunKey
+from repro.exec.keys import ExperimentSpec
 
 
 def test_digest_is_stable_and_hex():
-    key = RunKey("ccom", 1.0, 1991, CacheConfig())
-    assert key.digest() == RunKey("ccom", 1.0, 1991, CacheConfig()).digest()
+    key = experiment_key("cache", "ccom", CacheConfig(), 1.0, 1991)
+    again = experiment_key("cache", "ccom", CacheConfig(), 1.0, 1991)
+    assert key.digest() == again.digest()
     assert len(key.digest()) == 64
     int(key.digest(), 16)
 
 
 def test_digest_depends_on_every_component():
-    base = RunKey("ccom", 1.0, 1991, CacheConfig())
+    base = experiment_key("cache", "ccom", CacheConfig(), 1.0, 1991)
     variants = [
-        RunKey("grr", 1.0, 1991, CacheConfig()),
-        RunKey("ccom", 0.5, 1991, CacheConfig()),
-        RunKey("ccom", 1.0, 7, CacheConfig()),
-        RunKey("ccom", 1.0, 1991, CacheConfig(size="16KB")),
-        RunKey("ccom", 1.0, 1991, CacheConfig(), flush=False),
+        experiment_key("cache", "grr", CacheConfig(), 1.0, 1991),
+        experiment_key("cache", "ccom", CacheConfig(), 0.5, 1991),
+        experiment_key("cache", "ccom", CacheConfig(), 1.0, 7),
+        experiment_key("cache", "ccom", CacheConfig(size="16KB"), 1.0, 1991),
+        experiment_key("cache", "ccom", CacheConfig(), 1.0, 1991, flush=False),
     ]
     digests = {base.digest()} | {variant.digest() for variant in variants}
     assert len(digests) == len(variants) + 1
 
 
 def test_close_scales_do_not_collide():
-    a = RunKey("ccom", 0.1, 1991, CacheConfig())
-    b = RunKey("ccom", 0.1 + 1e-12, 1991, CacheConfig())
+    a = experiment_key("cache", "ccom", CacheConfig(), 0.1, 1991)
+    b = experiment_key("cache", "ccom", CacheConfig(), 0.1 + 1e-12, 1991)
     assert a.digest() != b.digest()
 
 
 def test_config_name_does_not_affect_digest():
-    named = RunKey("ccom", 1.0, 1991, CacheConfig(name="anything"))
-    assert named.digest() == RunKey("ccom", 1.0, 1991, CacheConfig()).digest()
+    named = experiment_key("cache", "ccom", CacheConfig(name="anything"), 1.0, 1991)
+    plain = experiment_key("cache", "ccom", CacheConfig(), 1.0, 1991)
+    assert named.digest() == plain.digest()
 
 
 def test_flush_is_part_of_the_address():
-    flushed = RunKey("ccom", 1.0, 1991, CacheConfig())
-    cold = RunKey("ccom", 1.0, 1991, CacheConfig(), flush=False)
+    flushed = experiment_key("cache", "ccom", CacheConfig(), 1.0, 1991)
+    cold = experiment_key("cache", "ccom", CacheConfig(), 1.0, 1991, flush=False)
     assert flushed.flush and not cold.flush
     assert flushed.digest() != cold.digest()
     assert "flush=1" in flushed.canonical()
     assert "flush=0" in cold.canonical()
 
 
-def test_runkey_builds_cache_kind_spec():
-    key = RunKey("ccom", 1.0, 1991, CacheConfig())
-    assert isinstance(key, ExperimentSpec)
-    assert key.kind == "cache"
-    assert key.canonical().startswith("kind=cache:")
-
-
 def test_engine_version_invalidates(monkeypatch):
-    key = RunKey("ccom", 1.0, 1991, CacheConfig())
+    key = experiment_key("cache", "ccom", CacheConfig(), 1.0, 1991)
     before = key.digest()
     bumped = dataclasses.replace(get_kind("cache"), engine_version="999")
     monkeypatch.setitem(experiments._REGISTRY, "cache", bumped)
@@ -67,7 +63,7 @@ def test_engine_version_invalidates(monkeypatch):
 
 
 def test_engine_version_is_per_kind(monkeypatch):
-    cache_key = RunKey("ccom", 1.0, 1991, CacheConfig())
+    cache_key = experiment_key("cache", "ccom", CacheConfig(), 1.0, 1991)
     wc_spec = ExperimentSpec("write_cache", "ccom", 1.0, 1991, WriteCacheConfig())
     wc_before = wc_spec.digest()
     bumped = dataclasses.replace(get_kind("cache"), engine_version="999")
@@ -91,6 +87,6 @@ def test_unknown_kind_fails_at_canonicalization():
 
 
 def test_key_is_hashable_memo_key():
-    a = RunKey("ccom", 1.0, 1991, CacheConfig(name="x"))
-    b = RunKey("ccom", 1.0, 1991, CacheConfig(name="y"))
+    a = experiment_key("cache", "ccom", CacheConfig(name="x"), 1.0, 1991)
+    b = experiment_key("cache", "ccom", CacheConfig(name="y"), 1.0, 1991)
     assert a == b and len({a, b}) == 1

@@ -15,6 +15,7 @@ from repro.buffers.write_buffer import WriteBufferConfig
 from repro.buffers.write_cache import WriteCacheConfig
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
+from repro.core.runner import experiment_key
 from repro.exec import experiments
 from repro.exec.experiments import (
     UnknownExperimentKind,
@@ -23,7 +24,7 @@ from repro.exec.experiments import (
     registered_kinds,
     unregister_runner,
 )
-from repro.exec.keys import ExperimentSpec, RunKey
+from repro.exec.keys import ExperimentSpec
 from repro.exec.pool import ExperimentPool
 from repro.exec.store import ResultStore
 from repro.hierarchy.system import HierarchyConfig, LevelConfig
@@ -42,8 +43,12 @@ WRITE_THROUGH = CacheConfig(
 def mixed_batch():
     """At least one spec of every builtin kind, including composites."""
     return [
-        RunKey("ccom", SCALE, SEED, CacheConfig(size=4096, line_size=16)),
-        RunKey("yacc", SCALE, SEED, CacheConfig(size=1024, line_size=16)),
+        experiment_key(
+            "cache", "ccom", CacheConfig(size=4096, line_size=16), SCALE, SEED
+        ),
+        experiment_key(
+            "cache", "yacc", CacheConfig(size=1024, line_size=16), SCALE, SEED
+        ),
         ExperimentSpec("write_cache", "ccom", SCALE, SEED, WriteCacheConfig(entries=5)),
         ExperimentSpec(
             "write_buffer", "grr", SCALE, SEED, WriteBufferConfig(retire_interval=5)
@@ -205,8 +210,8 @@ class _ToyStats:
         return isinstance(other, _ToyStats) and other.value == self.value
 
 
-def _run_toy(spec, trace):
-    return _ToyStats(value=len(trace))
+def _run_toy(specs, trace):
+    return [_ToyStats(value=len(trace)) for _ in specs], {}
 
 
 class TestRegistration:
@@ -241,7 +246,9 @@ class TestRegistration:
     def test_engine_version_is_isolated_per_kind(self, monkeypatch):
         register_runner("toy", _run_toy, _ToyStats, engine_version="1")
         spec = ExperimentSpec("toy", "ccom", SCALE, SEED, CacheConfig(size=1024))
-        cache_spec = RunKey("ccom", SCALE, SEED, CacheConfig(size=1024))
+        cache_spec = experiment_key(
+            "cache", "ccom", CacheConfig(size=1024), SCALE, SEED
+        )
         before_toy, before_cache = spec.digest(), cache_spec.digest()
         monkeypatch.setitem(
             experiments._REGISTRY,

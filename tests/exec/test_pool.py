@@ -4,8 +4,8 @@ import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import simulate_trace
+from repro.core.runner import experiment_key
 from repro.exec import pool as pool_module
-from repro.exec.keys import RunKey
 from repro.exec.pool import ExperimentPool, RunEvent, verbose_reporter
 from repro.exec.store import ResultStore
 from repro.trace.corpus import load
@@ -14,13 +14,15 @@ SCALE = 0.05
 
 #: A small but non-trivial grid: 2 sizes x 2 workloads x 2 hit policies.
 GRID = [
-    RunKey(workload, SCALE, 1991, CacheConfig(size=f"{kb}KB", line_size=16))
+    experiment_key(
+        "cache", workload, CacheConfig(size=f"{kb}KB", line_size=16), SCALE, 1991
+    )
     for workload in ("ccom", "grr")
     for kb in (1, 2)
-] + [RunKey("yacc", SCALE, 1991, CacheConfig(size="1KB"))]
+] + [experiment_key("cache", "yacc", CacheConfig(size="1KB"), SCALE, 1991)]
 
 
-def serial_reference(key: RunKey):
+def serial_reference(key):
     return simulate_trace(load(key.workload, scale=key.scale, seed=key.seed), key.config)
 
 

@@ -40,8 +40,9 @@ class _ThreadStats:
         return isinstance(other, _ThreadStats) and other.value == self.value
 
 
-def _run_threadtoy(spec, trace):
-    return _ThreadStats(value=len(trace) + spec.config.size)
+def _run_threadtoy(specs, trace):
+    stats = [_ThreadStats(value=len(trace) + spec.config.size) for spec in specs]
+    return stats, {}
 
 
 @pytest.fixture()
@@ -139,12 +140,12 @@ _AT_GATE = threading.Event()
 _COMPUTED = []
 
 
-def _run_gated(spec, trace):
+def _run_gated(specs, trace):
     # jobs=1 pools compute inline in the calling thread.
     _AT_GATE.set()
     assert _GATE.wait(timeout=30), "test gate never opened"
-    _COMPUTED.append(spec)
-    return _ThreadStats(value=len(trace) + spec.seed)
+    _COMPUTED.extend(specs)
+    return [_ThreadStats(value=len(trace) + spec.seed) for spec in specs], {}
 
 
 @pytest.fixture()

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.cache.config import CacheConfig
+from repro.core.runner import experiment_key
 from repro.exec import shm
-from repro.exec.keys import RunKey
 from repro.exec.pool import ExperimentPool, _execute_shared
 from repro.trace.events import READ, WRITE, MemRef
 from repro.trace.trace import ARRAY_DTYPES, Trace
@@ -61,7 +61,9 @@ class TestRoundTrip:
 
 class TestWorkerExecution:
     def test_execute_shared_matches_direct(self, published, tiny_trace):
-        key = RunKey("unused", 1.0, 0, CacheConfig(size=256, line_size=16))
+        key = experiment_key(
+            "cache", "unused", CacheConfig(size=256, line_size=16), 1.0, 0
+        )
         stats, _, checksum, _ = _execute_shared(key, published.handle)
         assert checksum is None  # no fault plan: integrity envelope is off
         from repro.cache.fastsim import simulate_trace
@@ -73,7 +75,9 @@ class TestWorkerExecution:
         # A page that no longer exists: the worker regenerates the trace
         # from the workload generator instead of failing the run.
         handle = shm.SharedTraceHandle("psm_repro_gone", 10, "ccom")
-        key = RunKey("ccom", 0.05, 1991, CacheConfig(size=256, line_size=16))
+        key = experiment_key(
+            "cache", "ccom", CacheConfig(size=256, line_size=16), 0.05, 1991
+        )
         stats, _, _, _ = _execute_shared(key, handle)
         from repro.exec.pool import _execute
 
@@ -84,11 +88,12 @@ class TestWorkerExecution:
 class TestPoolIntegration:
     def test_parallel_results_bit_identical_to_serial(self):
         keys = [
-            RunKey(
+            experiment_key(
+                "cache",
                 "grr",
+                CacheConfig(size=1024, line_size=line_size),
                 0.05,
                 1991,
-                CacheConfig(size=1024, line_size=line_size),
             )
             for line_size in (4, 8, 16, 32)
         ]
@@ -100,9 +105,10 @@ class TestPoolIntegration:
 
     def test_export_traces_dedupes_by_identity(self):
         keys = [
-            RunKey("grr", 0.05, 1991, CacheConfig(size=1024, line_size=4)),
-            RunKey("grr", 0.05, 1991, CacheConfig(size=1024, line_size=8)),
-            RunKey("ccom", 0.05, 1991, CacheConfig(size=1024, line_size=4)),
+            experiment_key(
+                "cache", workload, CacheConfig(size=1024, line_size=line), 0.05, 1991
+            )
+            for workload, line in (("grr", 4), ("grr", 8), ("ccom", 4))
         ]
         exported = ExperimentPool._export_traces(keys)
         try:

@@ -8,7 +8,8 @@ import pytest
 from repro.buffers.write_cache import WriteCacheConfig
 from repro.cache.config import CacheConfig
 from repro.cache.stats import CacheStats
-from repro.exec.keys import ExperimentSpec, RunKey
+from repro.core.runner import experiment_key
+from repro.exec.keys import ExperimentSpec
 from repro.exec.store import (
     STORE_SCHEMA,
     ResultStore,
@@ -17,8 +18,8 @@ from repro.exec.store import (
 )
 
 
-def make_key(workload="ccom", scale=0.05, seed=1991, **config_kwargs) -> RunKey:
-    return RunKey(workload, scale, seed, CacheConfig(**config_kwargs))
+def make_key(workload="ccom", scale=0.05, seed=1991, **config_kwargs) -> ExperimentSpec:
+    return experiment_key("cache", workload, CacheConfig(**config_kwargs), scale, seed)
 
 
 def make_stats(reads=100) -> CacheStats:

@@ -168,10 +168,10 @@ class TestDeclineShapes:
         assert_identical(config, busy_trace(), flush)
 
     @pytest.mark.parametrize("flush", [True, False])
-    def test_set_associative_last_level_uses_derived_meter(self, flush):
+    def test_set_associative_last_level_declines(self, flush, monkeypatch):
         # A bare set-associative final level is outside the vector
-        # kernel's shape but still gets the fastsim + derived-meter route;
-        # either way the stats must be composed-identical.
+        # kernel's shape, so it declines like any other such level: the
+        # L1 vectorizes and the stats stay composed-identical.
         config = HierarchyConfig(
             levels=(
                 LevelConfig(cache=CacheConfig(size=512, line_size=16)),
@@ -180,7 +180,16 @@ class TestDeclineShapes:
                 ),
             )
         )
+        declined = []
+        composed_route = hiersim._composed
+
+        def spy(trace, levels, flush):
+            declined.append(levels)
+            return composed_route(trace, levels, flush)
+
+        monkeypatch.setattr(hiersim, "_composed", spy)
         assert_identical(config, busy_trace(), flush)
+        assert declined == [config.levels[1:]]
 
     def test_declining_level_stops_vectorization(self):
         # The bare L1 vectorizes; the structured L2 declines, so exactly

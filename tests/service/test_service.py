@@ -83,10 +83,11 @@ _COMPUTED_LOCK = threading.Lock()
 _FAILURES = {}
 
 
-def _run_gated(spec, trace):
+def _run_gated(specs, trace):
     # jobs=1 pools run this inline in the submitting worker thread, under
     # the pool lock, so the module-level gate and counter are shared with
-    # the test.
+    # the test.  Gated specs differ by seed, so each is its own task.
+    (spec,) = specs
     _AT_GATE.set()
     assert _GATE.wait(timeout=30), "test gate never opened"
     with _COMPUTED_LOCK:
@@ -94,7 +95,7 @@ def _run_gated(spec, trace):
             _FAILURES[spec] -= 1
             raise RuntimeError("deliberate owner failure")
         _COMPUTED.append(spec)
-    return _GateStats(value=spec.seed * 10 + len(trace))
+    return [_GateStats(value=spec.seed * 10 + len(trace))], {}
 
 
 @pytest.fixture()
@@ -197,7 +198,7 @@ class TestResults:
     def test_failed_specs_fail_the_job_with_a_reason(self, serve, gated_kind):
         _GATE.set()  # run without blocking
 
-        def _boom(spec, trace):
+        def _boom(specs, trace):
             raise RuntimeError("deliberate kaboom")
 
         register_runner(
