@@ -28,24 +28,25 @@ results are bit-identical to serial execution, which the test suite
 enforces per kind.
 
 Every kind's runner takes a list of specs over one trace (see
-:mod:`repro.exec.experiments`), so every kind gets *batched dispatch*:
-pending misses that agree on ``(kind, workload, scale, seed, flush)``
-travel to a worker as one task, and a kernel that can (``cache`` via
+:mod:`repro.exec.experiments`), so every task is such a list, run
+through :func:`_execute_batch`: pending misses that agree on ``(kind,
+workload, scale, seed, flush)`` travel to a worker as one task (a lone
+spec is a task of one), and a kernel that can (``cache`` via
 ``repro.cache.fastsim.simulate_trace_batch_info``, ``system`` via
 ``repro.hierarchy.hiersim.simulate_hierarchy_batch_info``) shares the
 trace-side passes across the whole configuration grid.  Results stay
 per-spec — each is individually content-addressed, persisted and
-reported through the same :class:`RunEvent` path as an unbatched run.
+reported through its own :class:`RunEvent`.
 
 Failure semantics (see "Failure semantics" in ``docs/orchestration.md``):
 a failed task is retried with exponential backoff and deterministic
 jitter up to ``retries`` times; a task running past ``task_timeout``
 seconds is abandoned and the worker pool rebuilt; a hard worker death
 (``BrokenProcessPool``) rebuilds the pool and requeues the in-flight
-work; and a failing *batched* task is bisected so one poisoned spec
-cannot lose its siblings' grid.  When per-run retries are exhausted the
-spec is executed serially inline in the parent as a last resort, and
-only an inline failure finally propagates.  Every recovery is counted in
+work; and a failing task of two or more specs is bisected so one
+poisoned spec cannot lose its siblings' grid.  When per-run retries are
+exhausted the spec is executed serially inline in the parent as a last
+resort, and only an inline failure finally propagates.  Every recovery is counted in
 :class:`PoolTelemetry` (``retries``/``timeouts``/``pool_rebuilds``/
 ``degraded_runs``) and reported through ``retry``/``timeout``
 :class:`RunEvent` entries carrying attempt numbers.  The deterministic
@@ -298,7 +299,7 @@ def reset_aggregate_telemetry() -> PoolTelemetry:
 
 
 class _Task:
-    """One schedulable unit of pending work: a batched group or a single.
+    """One schedulable unit of pending work: a list of same-trace specs.
 
     ``degraded`` marks tasks produced by the degradation ladder (bisected
     halves, inline fallbacks); their resolutions count in
@@ -306,82 +307,29 @@ class _Task:
     parent process — the last rung of the ladder.
     """
 
-    __slots__ = ("specs", "batched", "degraded", "inline")
+    __slots__ = ("specs", "degraded", "inline")
 
-    def __init__(self, specs, batched, degraded=False, inline=False):
+    def __init__(self, specs, degraded=False, inline=False):
         self.specs = list(specs)
-        self.batched = batched
         self.degraded = degraded
         self.inline = inline
 
     def as_inline(self) -> "_Task":
-        return _Task(self.specs, self.batched, degraded=True, inline=True)
-
-
-def _run_one(spec: ExperimentSpec, trace) -> Tuple[object, float, dict]:
-    """Run one spec as a list of one; returns ``(stats, seconds, counters)``."""
-    started = time.perf_counter()
-    (stats,), counters = get_kind(spec.kind).runner([spec], trace)
-    return stats, time.perf_counter() - started, counters
-
-
-def _execute(spec: ExperimentSpec, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int], dict]:
-    """Run one experiment; used both inline and inside worker processes.
-
-    Dispatches through the kind registry, so worker processes resolve the
-    same runner the parent would (builtin kinds register lazily on first
-    lookup in each process).  ``plan`` is the active fault plan (None in
-    production — every fault hook then reduces to a single ``is None``
-    test); the returned checksum seals the honest payload so the parent
-    can detect results corrupted in transit.  The last element is the
-    kind's dispatch counters (see :func:`_run_one`).
-    """
-    from repro.trace.corpus import load
-
-    faults_module.fire_execution_fault(plan, spec, attempt)
-    trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
-    return _sealed(spec, attempt, plan, *_run_one(spec, trace))
-
-
-def _execute_shared(spec: ExperimentSpec, handle, attempt: int = 0, plan=None) -> Tuple[object, float, Optional[int], dict]:
-    """Run one experiment against a trace shipped in shared memory.
-
-    Falls back to regenerating the trace if the page cannot be mapped or
-    fails validation (e.g. the platform lacks POSIX shared memory, or the
-    page is smaller than the handle promises) — the results are
-    bit-identical either way, only slower.
-    """
-    from repro.exec.shm import attach_trace
-    from repro.trace.corpus import load
-
-    faults_module.fire_execution_fault(plan, spec, attempt)
-    try:
-        trace = attach_trace(handle)
-    except (OSError, ValueError):
-        trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
-    return _sealed(spec, attempt, plan, *_run_one(spec, trace))
-
-
-def _sealed(spec, attempt, plan, stats, seconds, counters):
-    """A single-spec payload, checksummed (and maybe corrupted) under a
-    fault plan."""
-    checksum = None
-    if plan is not None:
-        checksum = faults_module.result_checksum(stats)
-        stats = faults_module.corrupt_result(plan, spec, attempt, stats)
-    return stats, seconds, checksum, counters
+        return _Task(self.specs, degraded=True, inline=True)
 
 
 def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float, Optional[list], dict]:
-    """Run a group of same-trace specs through their kind's runner.
+    """Run a list of one or more same-trace specs through their kind's
+    runner; the only task entry point, used inline and in workers.
 
-    ``handle`` is an optional shared-memory trace handle (None means
-    regenerate in-process); ``attempts`` aligns per-spec attempt numbers
-    with ``specs`` for fault decisions.  Returns the per-spec stats list
-    in spec order, the wall-time of the whole batched call, per-spec
-    integrity checksums when a fault plan is active, and the kind's
-    dispatch counters — a plain dict so the tuple pickles cleanly back
-    from worker processes.
+    ``handle`` is an optional shared-memory trace handle; None, or a page
+    that cannot be mapped or fails validation, means regenerate the trace
+    in-process (bit-identical, only slower).  ``attempts`` aligns per-spec
+    attempt numbers with ``specs`` for fault decisions.  Returns the
+    per-spec stats list in spec order, the wall-time of the whole runner
+    call, per-spec integrity checksums when a fault plan is active (None
+    otherwise), and the kind's dispatch counters — a plain dict so the
+    tuple pickles cleanly back from worker processes.
     """
     from repro.trace.corpus import load
 
@@ -398,7 +346,7 @@ def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float
         try:
             trace = attach_trace(handle)
         except (OSError, ValueError):
-            trace = None
+            pass
     if trace is None:
         spec = specs[0]
         trace = load(spec.workload, scale=spec.scale, seed=spec.seed)
@@ -419,6 +367,10 @@ def _execute_batch(specs, handle, attempts=None, plan=None) -> Tuple[list, float
             for spec, attempt, stats in zip(specs, attempts, stats_list)
         ]
     return stats_list, seconds, checksums, counters
+
+
+# Aliases only: the frozen perfbench span hook wraps these names.
+_execute = _execute_shared = _execute_batch
 
 
 def _abandon_executor(executor) -> None:
@@ -559,25 +511,17 @@ class ExperimentPool:
         return exported
 
     def _plan_batches(self, pending):
-        """Split pending misses into batched groups and per-run singles.
+        """Group pending misses into tasks, first-seen order.
 
         Specs group by ``(kind, workload, scale, seed, flush)`` —
-        everything a runner is allowed to assume is shared.  Only groups
-        of two or more become batched tasks; a group of one runs as a
-        single task (see :func:`_run_one`).
+        everything a runner is allowed to assume is shared.  Each group,
+        a lone spec included, is one task.
         """
         groups: Dict[tuple, list] = {}
-        singles = []
         for spec in pending:
             identity = (spec.kind, spec.workload, spec.scale, spec.seed, spec.flush)
             groups.setdefault(identity, []).append(spec)
-        batches = []
-        for specs in groups.values():
-            if len(specs) > 1:
-                batches.append(specs)
-            else:
-                singles.append(specs[0])
-        return batches, singles
+        return list(groups.values())
 
     def _persist(self, key: ExperimentSpec, stats, telemetry) -> bool:
         """Persist one result, retrying a failed write once.
@@ -735,38 +679,24 @@ class ExperimentPool:
 
         def deliver(task, payload):
             """Verify a task's payload and resolve it; raises on corruption."""
-            if task.batched:
-                stats_list, seconds, checksums, counters = payload
-                if checksums is not None:
-                    for spec, stats, checksum in zip(
-                        task.specs, stats_list, checksums
-                    ):
-                        faults_module.verify_result(spec, stats, checksum)
+            stats_list, seconds, checksums, counters = payload
+            if checksums is not None:
+                for spec, stats, checksum in zip(task.specs, stats_list, checksums):
+                    faults_module.verify_result(spec, stats, checksum)
+            if len(task.specs) > 1:
                 telemetry.batches += 1
                 telemetry.batched_runs += len(task.specs)
-                count(counters)
-                # The batched call is one timed unit; attribute its
-                # wall-time evenly so per-run sim_seconds still sum to
-                # engine time.
-                share = seconds / len(task.specs)
-                for spec, stats in zip(task.specs, stats_list):
-                    resolve(spec, stats, share, task)
-            else:
-                stats, seconds, checksum, counters = payload
-                faults_module.verify_result(task.specs[0], stats, checksum)
-                count(counters)
-                resolve(task.specs[0], stats, seconds, task)
+            count(counters)
+            # The runner call is one timed unit; attribute its wall-time
+            # evenly so per-run sim_seconds still sum to engine time.
+            share = seconds / len(task.specs)
+            for spec, stats in zip(task.specs, stats_list):
+                resolve(spec, stats, share, task)
 
         def execute_inline(task):
-            if task.batched:
-                return _execute_batch(
-                    task.specs,
-                    None,
-                    [attempts[spec] for spec in task.specs],
-                    plan,
-                )
-            spec = task.specs[0]
-            return _execute(spec, attempts[spec], plan)
+            return _execute_batch(
+                task.specs, None, [attempts[spec] for spec in task.specs], plan
+            )
 
         def emit_failures(task, source):
             for spec in task.specs:
@@ -785,7 +715,7 @@ class ExperimentPool:
         def bisect(task):
             mid = (len(task.specs) + 1) // 2
             return [
-                _Task(chunk, batched=len(chunk) > 1, degraded=True)
+                _Task(chunk, degraded=True)
                 for chunk in (task.specs[:mid], task.specs[mid:])
             ]
 
@@ -805,7 +735,7 @@ class ExperimentPool:
                 telemetry.retries += 1
             emit_failures(task, "timeout" if kind == "timeout" else "retry")
             attributable = kind in ("error", "timeout")
-            if attributable and task.batched and len(task.specs) > 1:
+            if attributable and len(task.specs) > 1:
                 return bisect(task), 0.0
             worst = max(attempts[spec] for spec in task.specs)
             if worst <= self.retries:
@@ -816,15 +746,13 @@ class ExperimentPool:
                     seed=plan.seed if plan is not None else 0,
                 )
                 return [task], delay
-            if task.batched and len(task.specs) > 1:
+            if len(task.specs) > 1:
                 return bisect(task), 0.0
             if inline_tier and not task.inline:
                 return [task.as_inline()], 0.0
             raise error
 
-        batches, singles = self._plan_batches(pending)
-        tasks = [_Task(specs, batched=True) for specs in batches]
-        tasks += [_Task([key], batched=False) for key in singles]
+        tasks = [_Task(specs) for specs in self._plan_batches(pending)]
 
         if self.jobs == 1 or len(tasks) == 1:
             self._run_serial(tasks, deliver, execute_inline, followups_for)
@@ -908,20 +836,15 @@ class ExperimentPool:
             handle = shared.handle if shared is not None else None
             for _ in range(2):
                 try:
-                    if task.batched:
-                        future = executor.submit(
-                            _execute_batch,
-                            task.specs,
-                            handle,
-                            [attempts[spec] for spec in task.specs],
-                            plan,
-                        )
-                    elif handle is not None:
-                        future = executor.submit(
-                            _execute_shared, head, handle, attempts[head], plan
-                        )
-                    else:
-                        future = executor.submit(_execute, head, attempts[head], plan)
+                    # Submitted under its def name: a wrapped function
+                    # pickles by qualified name, which an alias breaks.
+                    future = executor.submit(
+                        _execute_batch,
+                        task.specs,
+                        handle,
+                        [attempts[spec] for spec in task.specs],
+                        plan,
+                    )
                     break
                 except BrokenProcessPool:
                     rebuild()

@@ -81,10 +81,17 @@ def run_write_caches(specs, trace):
 
 
 def run_victim_buffers(specs, trace):
-    """Dirty-victim buffer timing behind each spec's write-back cache."""
+    """Dirty-victim buffer timing behind each spec's write-back cache.
+
+    The victim times depend only on the cache, so specs that share one
+    (a buffer sweep does) replay a single extraction.
+    """
+    times = {}
+    for spec in specs:
+        if spec.config.cache not in times:
+            times[spec.config.cache] = dirty_victim_times(trace, spec.config.cache)
     return [
-        spec.config.build().simulate(*dirty_victim_times(trace, spec.config.cache))
-        for spec in specs
+        spec.config.build().simulate(*times[spec.config.cache]) for spec in specs
     ], {}
 
 

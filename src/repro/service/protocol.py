@@ -66,7 +66,7 @@ def _decode_spec(payload: object) -> ExperimentSpec:
         return ExperimentSpec.from_dict(payload)
     except (UnknownExperimentKind, ConfigurationError) as error:
         raise ProtocolError(str(error)) from error
-    except (ValueError, TypeError, KeyError) as error:
+    except (ValueError, TypeError, KeyError, OverflowError) as error:
         raise ProtocolError(f"bad spec payload: {error}") from error
 
 
@@ -93,7 +93,7 @@ def _expand_grid(payload: dict) -> List[ExperimentSpec]:
         scale = float(payload.get("scale", 1.0))
         seed = int(payload.get("seed", 1991))
         flush = bool(payload.get("flush", True))
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise ProtocolError(f"bad grid parameters: {error}") from error
     decoded_configs = []
     for config_payload in configs:
@@ -132,7 +132,7 @@ def parse_job_request(payload: object) -> JobRequest:
         specs = _expand_grid(payload)
     try:
         priority = int(payload.get("priority", 0))
-    except (TypeError, ValueError) as error:
+    except (TypeError, ValueError, OverflowError) as error:
         raise ProtocolError(f"bad priority: {error}") from error
     token = str(payload.get("token", DEFAULT_TOKEN)) or DEFAULT_TOKEN
     return JobRequest(

@@ -1,7 +1,7 @@
 """Batched pool dispatch: grouping, fallback, identity, telemetry.
 
-The pool ships each group of two or more same-trace specs of one kind to
-a worker as one batched task; these tests pin the contract: every spec
+The pool ships each group of same-trace specs of one kind to a worker as
+one task (a lone spec is a task of one); these tests pin the contract: every spec
 resolves to exactly what its kind's independent reference produces (bit
 for bit, serial or parallel), results are still individually persisted,
 unsupported configs ride along untouched, and the telemetry counters say
@@ -20,6 +20,8 @@ from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
 from repro.cache.policies import WriteHitPolicy, WriteMissPolicy
 from repro.core.runner import experiment_key
+from repro.exec import pool as pool_module
+from repro.exec import runners
 from repro.exec.keys import ExperimentSpec
 from repro.exec.pool import ExperimentPool
 from repro.exec.store import ResultStore
@@ -249,6 +251,54 @@ class TestBufferGrids:
         assert pool.telemetry.batched_runs == len(specs)
         for spec in specs:
             assert results[spec].to_dict() == reference(spec), spec.describe()
+
+
+class TestOneTaskShape:
+    def test_every_group_is_one_execute_batch_call(self, monkeypatch):
+        calls = []
+        real = pool_module._execute_batch
+
+        def spy(specs, *args):
+            calls.append(list(specs))
+            return real(specs, *args)
+
+        monkeypatch.setattr(pool_module, "_execute_batch", spy)
+        specs = cache_grid("ccom", sizes=(1024, 2048)) + cache_grid(
+            "yacc", sizes=(1024,)
+        )
+        pool = ExperimentPool(store=None, jobs=1)
+        results = pool.run_many(specs)
+        assert sorted(map(len, calls)) == [1, 2]
+        # Only the task of two or more runs counts as a batch.
+        assert pool.telemetry.batches == 1
+        assert pool.telemetry.batched_runs == 2
+        for spec in specs:
+            assert comparable(spec, results[spec]) == reference(spec)
+
+    def test_victim_grid_extracts_victim_times_once(self, monkeypatch):
+        calls = []
+
+        def spy(trace, config):
+            calls.append(config)
+            return dirty_victim_times(trace, config)
+
+        monkeypatch.setattr(runners, "dirty_victim_times", spy)
+        cache = CacheConfig(size=1024, line_size=16)
+        specs = [
+            ExperimentSpec(
+                "victim_buffer",
+                "ccom",
+                SCALE,
+                SEED,
+                VictimBufferConfig(cache=cache, entries=n),
+            )
+            for n in (1, 2, 4, 8)
+        ]
+        trace = load("ccom", scale=SCALE, seed=SEED)
+        stats_list, _ = runners.run_victim_buffers(specs, trace)
+        assert calls == [cache]
+        for spec, stats in zip(specs, stats_list):
+            assert stats.to_dict() == reference(spec)
 
 
 class TestTelemetryLine:

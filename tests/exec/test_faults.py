@@ -351,10 +351,10 @@ class TestEventStream:
 
 class TestZeroOverheadWhenOff:
     def test_no_plan_means_no_checksums(self):
-        from repro.exec.pool import _execute
+        from repro.exec.pool import _execute_batch
 
-        stats, _, checksum, _ = _execute(cache_grid(sizes=(1024,))[0])
-        assert checksum is None
+        (stats,), _, checksums, _ = _execute_batch(cache_grid(sizes=(1024,)), None)
+        assert checksums is None
         assert stats is not None
 
     def test_injection_points_short_circuit_on_none(self):

@@ -39,7 +39,9 @@ def test_run_uses_memory_then_disk(fresh_runner, monkeypatch):
     # Disk only: clear the memo and forbid computation.
     runner.clear_run_cache()
     monkeypatch.setattr(
-        pool_module, "_execute", lambda key: pytest.fail("should be a store hit")
+        pool_module,
+        "_execute_batch",
+        lambda *args: pytest.fail("should be a store hit"),
     )
     assert runner.run("ccom", config, scale=SCALE) == first
     # Memory: remove the store as well; the memo was refilled above.

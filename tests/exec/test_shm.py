@@ -8,7 +8,7 @@ import pytest
 from repro.cache.config import CacheConfig
 from repro.core.runner import experiment_key
 from repro.exec import shm
-from repro.exec.pool import ExperimentPool, _execute_shared
+from repro.exec.pool import ExperimentPool, _execute_batch
 from repro.trace.events import READ, WRITE, MemRef
 from repro.trace.trace import ARRAY_DTYPES, Trace
 
@@ -64,8 +64,8 @@ class TestWorkerExecution:
         key = experiment_key(
             "cache", "unused", CacheConfig(size=256, line_size=16), 1.0, 0
         )
-        stats, _, checksum, _ = _execute_shared(key, published.handle)
-        assert checksum is None  # no fault plan: integrity envelope is off
+        (stats,), _, checksums, _ = _execute_batch([key], published.handle)
+        assert checksums is None  # no fault plan: integrity envelope is off
         from repro.cache.fastsim import simulate_trace
 
         expected = simulate_trace(tiny_trace, key.config, flush=True)
@@ -78,10 +78,8 @@ class TestWorkerExecution:
         key = experiment_key(
             "cache", "ccom", CacheConfig(size=256, line_size=16), 0.05, 1991
         )
-        stats, _, _, _ = _execute_shared(key, handle)
-        from repro.exec.pool import _execute
-
-        expected, _, _, _ = _execute(key)
+        (stats,), _, _, _ = _execute_batch([key], handle)
+        (expected,), _, _, _ = _execute_batch([key], None)
         assert dataclasses.asdict(stats) == dataclasses.asdict(expected)
 
 

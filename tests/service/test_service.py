@@ -15,6 +15,7 @@ externally free ports.
 """
 
 import http.client
+import json
 import threading
 import time
 
@@ -462,6 +463,35 @@ class TestHttpSurface:
         with pytest.raises(ServiceError) as excinfo:
             client.job("job-999999")
         assert excinfo.value.status == 404
+
+    @pytest.mark.parametrize("form", ["grid", "specs"])
+    @pytest.mark.parametrize("field", ["priority", "seed"])
+    def test_out_of_range_number_gets_400(self, serve, form, field):
+        # 1e400 parses to float infinity, which int() cannot convert.
+        _, server, _ = serve()
+        if form == "grid":
+            body = {"kind": "cache", "workloads": ["ccom"], "configs": [{}]}
+        else:
+            spec = ExperimentSpec("cache", "ccom", SCALE, SEED, CacheConfig())
+            body = {"specs": [spec.to_dict()]}
+        target = body if field == "priority" or form == "grid" else body["specs"][0]
+        target[field] = "OUT_OF_RANGE"
+        raw = json.dumps(body).replace('"OUT_OF_RANGE"', "1e400").encode("utf-8")
+        connection = http.client.HTTPConnection(
+            server.host, server.port, timeout=10
+        )
+        try:
+            connection.request(
+                "POST",
+                "/v1/jobs",
+                body=raw,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        finally:
+            connection.close()
 
     @pytest.mark.parametrize("path", ["/v1/jobs", "/v1/traces"])
     @pytest.mark.parametrize("length", ["abc", "-1"])
