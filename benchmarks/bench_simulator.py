@@ -17,9 +17,11 @@ Two entry points:
   reuse-distance ladder profiler) against that same batched path, a
   ``hier`` section timing the two-level hier_miss figure grid through
   the level-by-level hierarchy kernel against the composed reference
-  path, and an ``ingest`` section timing the chunked array-native trace
+  path, an ``ingest`` section timing the chunked array-native trace
   parser (:mod:`repro.trace.ingest`) against the line-by-line
-  ``read_trace`` reader on the same text file, reported as refs/sec plus
+  ``read_trace`` reader on the same text file, and a ``buffers`` section
+  timing the fig07 write-cache and fig05 write-buffer grids through their
+  bulk runners against per-spec oracle calls, reported as refs/sec plus
   the speedups.  Every speedup is a ratio taken in one run on one
   machine: the two sides are sampled alternately in process CPU time
   and the speedup is the median of the per-pair ratios, so a slow
@@ -289,6 +291,7 @@ def run_smoke_grid(workload="grr", scale=0.3, repeats=5):
     report["rdsim"] = _bench_rdsim_grid(trace, repeats)
     report["hier"] = _bench_hier_grid(trace, repeats)
     report["ingest"] = _bench_ingest(trace, repeats)
+    report["buffers"] = _bench_buffer_grids(trace, repeats, workload, scale)
     return report
 
 
@@ -412,6 +415,54 @@ def _bench_hier_grid(trace, repeats):
     }
 
 
+def _bench_buffer_grids(trace, repeats, workload, scale):
+    """Buffer figure-grid refs/sec: per-spec oracles vs the bulk runners.
+
+    The grids are fig07's write caches (entries 0-16) and fig05's write
+    buffers (the retire-interval axis).  The oracle side runs
+    ``WriteCache.run_writes`` and ``CoalescingWriteBuffer.simulate`` once
+    per config; the bulk side hands each grid to its registered runner,
+    exactly as a pool worker does with one trace's task.
+    """
+    from repro.buffers.write_buffer import WriteBufferConfig
+    from repro.buffers.write_cache import WriteCacheConfig
+    from repro.core.figures.write_buffer_fig import RETIRE_INTERVALS
+    from repro.core.figures.write_cache_fig import ENTRY_COUNTS
+    from repro.core.runner import experiment_key
+    from repro.exec.runners import run_write_buffers, run_write_caches
+
+    def specs(kind, configs):
+        return [experiment_key(kind, workload, config, scale) for config in configs]
+
+    cache_specs = specs(
+        "write_cache", [WriteCacheConfig(entries=n) for n in ENTRY_COUNTS]
+    )
+    buffer_specs = specs(
+        "write_buffer",
+        [WriteBufferConfig(retire_interval=n) for n in RETIRE_INTERVALS],
+    )
+    grid_refs = len(trace) * (len(cache_specs) + len(buffer_specs))
+
+    def oracles():
+        for spec in cache_specs:
+            spec.config.build().run_writes(trace, flush=spec.flush)
+        for spec in buffer_specs:
+            spec.config.build().simulate(trace)
+
+    def bulk():
+        run_write_caches(cache_specs, trace)
+        run_write_buffers(buffer_specs, trace)
+
+    oracle_best, bulk_best, speedup = _paired(oracles, bulk, repeats)
+    return {
+        "grid_configs": len(cache_specs) + len(buffer_specs),
+        "grid_refs": grid_refs,
+        "oracle_refs_per_sec": round(grid_refs / oracle_best),
+        "bulk_refs_per_sec": round(grid_refs / bulk_best),
+        "speedup": round(speedup, 2),
+    }
+
+
 def measure_fault_gate_overhead(trace, config, repeats=3, calls=100_000):
     """Per-run cost fraction of the *disabled* fault-injection gates.
 
@@ -450,7 +501,7 @@ def measure_fault_gate_overhead(trace, config, repeats=3, calls=100_000):
 
 
 #: Grid-level report sections carrying a ``speedup`` the baseline gates.
-GRID_SECTIONS = ("batch", "rdsim", "hier", "ingest")
+GRID_SECTIONS = ("batch", "rdsim", "hier", "ingest", "buffers")
 
 
 def check_against_baseline(report, baseline, tolerance):
@@ -577,6 +628,13 @@ def main(argv=None):
         f"{'ingest-parse':22s} lines  {ingest['read_trace_refs_per_sec'] / 1e6:5.2f}"
         f" Mref/s  chunk {ingest['ingest_refs_per_sec'] / 1e6:7.2f} Mref/s  "
         f"speedup {ingest['speedup']:.2f}x ({ingest['refs']} refs)"
+    )
+
+    buffers = report["buffers"]
+    print(
+        f"{'buffer-figure-grids':22s} oracle {buffers['oracle_refs_per_sec'] / 1e6:5.2f}"
+        f" Mref/s  bulk  {buffers['bulk_refs_per_sec'] / 1e6:7.2f} Mref/s  "
+        f"speedup {buffers['speedup']:.2f}x ({buffers['grid_configs']} configs)"
     )
 
     failed = False

@@ -16,6 +16,7 @@ from typing import ClassVar, Iterable, List, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.common.serde import CounterSerde
+from repro.common.units import check_count
 from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
 from repro.trace.events import WRITE
@@ -33,6 +34,10 @@ class VictimBufferConfig:
     cache: CacheConfig = field(default_factory=CacheConfig)
     entries: int = 1
     retire_interval: int = 10
+
+    def __post_init__(self) -> None:
+        check_count("entries", self.entries, minimum=1)
+        check_count("retire_interval", self.retire_interval, minimum=1)
 
     def cache_key(self) -> str:
         """Stable canonical identity string (hashed by the result store)."""

@@ -12,15 +12,22 @@ The headline tension this reproduces: significant merging requires entries
 to linger, which requires the buffer to be nearly always full, which means
 stores stall — so a simple coalescing buffer cannot both merge well and
 stall little.
+
+:func:`simulate_write_buffers` runs a grid of buffers over one trace with
+O(1) work per store; :meth:`CoalescingWriteBuffer.simulate` is its
+per-spec oracle.
 """
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Dict, List, Sequence
+
+import numpy as np
 
 from repro.common.bitops import log2_int
 from repro.common.errors import ConfigurationError
 from repro.common.serde import CounterSerde
+from repro.common.units import check_count
 from repro.trace.events import WRITE
 from repro.trace.trace import Trace
 
@@ -30,15 +37,23 @@ from repro.trace.trace import Trace
 WRITE_BUFFER_ENGINE_VERSION = 1
 
 
-#: How loads interact with buffered stores (Smith [13] design space):
-#: - ``"ignore"``: loads bypass the buffer (the paper's Fig. 5 model —
-#:   correct when read misses are checked against the buffer elsewhere);
-#: - ``"forward"``: a load matching a buffered line is satisfied from the
-#:   buffer at no cost (full store-to-load forwarding);
-#: - ``"drain"``: a load matching a buffered line stalls until that entry
-#:   (and everything ahead of it) retires — the simplest correct
-#:   hardware, and the cost the paper's write cache avoids.
-READ_POLICIES = ("ignore", "forward", "drain")
+#: How loads interact with buffered stores.  Only ``"ignore"`` is
+#: modelled: loads bypass the buffer and only advance time (the paper's
+#: Fig. 5 model — correct when read misses are checked against the
+#: buffer elsewhere).  The field stays in the config so store keys keep
+#: their ``reads=ignore`` suffix; any other value is refused.
+READ_POLICIES = ("ignore",)
+
+
+def _check_buffer(entries, entry_size, retire_interval, read_policy) -> None:
+    check_count("entries", entries, minimum=1)
+    check_count("entry_size", entry_size, minimum=1)
+    log2_int(entry_size)
+    check_count("retire_interval", retire_interval)
+    if read_policy not in READ_POLICIES:
+        raise ConfigurationError(
+            f"read_policy must be one of {READ_POLICIES}, got {read_policy!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -49,6 +64,11 @@ class WriteBufferConfig(CounterSerde):
     entry_size: int = 16
     retire_interval: int = 5
     read_policy: str = "ignore"
+
+    def __post_init__(self) -> None:
+        _check_buffer(
+            self.entries, self.entry_size, self.retire_interval, self.read_policy
+        )
 
     def cache_key(self) -> str:
         """Stable canonical identity string (hashed by the result store)."""
@@ -88,10 +108,13 @@ class WriteBufferStats(CounterSerde):
     stall_cycles: int = 0  #: cycles the CPU waited on a full buffer
     instructions: int = 0  #: dynamic instructions of the driving trace
     full_stalls: int = 0  #: stores that encountered a full buffer
-    read_matches: int = 0  #: loads that matched a buffered line
-    read_forwards: int = 0  #: matches satisfied by forwarding
-    read_drain_stalls: int = 0  #: matches that forced a drain
-    read_stall_cycles: int = 0  #: cycles spent draining for loads
+    # The read-policy counters of the retired ``forward``/``drain``
+    # policies: always 0 under ``ignore``, kept so stored records (whose
+    # decoder refuses unknown keys) still read.
+    read_matches: int = 0
+    read_forwards: int = 0
+    read_drain_stalls: int = 0
+    read_stall_cycles: int = 0
 
     @property
     def merge_fraction(self) -> float:
@@ -102,13 +125,6 @@ class WriteBufferStats(CounterSerde):
     def stall_cpi(self) -> float:
         """Store stall cycles per instruction (Fig. 5 right axis)."""
         return self.stall_cycles / self.instructions if self.instructions else 0.0
-
-    @property
-    def total_stall_cpi(self) -> float:
-        """Store plus load-drain stall cycles per instruction."""
-        if not self.instructions:
-            return 0.0
-        return (self.stall_cycles + self.read_stall_cycles) / self.instructions
 
 
 class CoalescingWriteBuffer:
@@ -121,15 +137,7 @@ class CoalescingWriteBuffer:
         retire_interval: int = 5,
         read_policy: str = "ignore",
     ):
-        if entries < 1:
-            raise ConfigurationError("write buffer needs at least one entry")
-        log2_int(entry_size)
-        if retire_interval < 0:
-            raise ConfigurationError("retire_interval must be >= 0")
-        if read_policy not in READ_POLICIES:
-            raise ConfigurationError(
-                f"read_policy must be one of {READ_POLICIES}, got {read_policy!r}"
-            )
+        _check_buffer(entries, entry_size, retire_interval, read_policy)
         self.entries = entries
         self.entry_size = entry_size
         self.retire_interval = retire_interval
@@ -160,32 +168,10 @@ class CoalescingWriteBuffer:
                 stats.retired += 1
                 next_retire = next_retire + interval if buffer else None
 
-        read_policy = self.read_policy
-        for address, _, kind, icount in zip(
-            trace.addresses, trace.sizes, trace.kinds, trace.icounts
-        ):
+        for address, kind, icount in zip(trace.addresses, trace.kinds, trace.icounts):
             now += icount
             stats.instructions += icount
             if kind != WRITE:
-                if read_policy == "ignore" or interval == 0:
-                    continue
-                retire_due(now)
-                line_address = address & ~offset_mask
-                if line_address not in buffer:
-                    continue
-                stats.read_matches += 1
-                if read_policy == "forward":
-                    stats.read_forwards += 1
-                    continue
-                # drain: stall until the matching entry (and everything
-                # ahead of it in FIFO order) has retired.
-                stats.read_drain_stalls += 1
-                position = list(buffer).index(line_address)
-                assert next_retire is not None
-                drained_at = next_retire + position * interval
-                stats.read_stall_cycles += drained_at - now
-                now = drained_at
-                retire_due(now)
                 continue
             stats.writes += 1
             if interval == 0:
@@ -212,3 +198,98 @@ class CoalescingWriteBuffer:
             if next_retire is None:
                 next_retire = now + interval
         return stats
+
+
+def simulate_write_buffers(
+    trace: Trace, configs: Sequence[WriteBufferConfig]
+) -> List[WriteBufferStats]:
+    """Write-buffer runs over ``trace``, one stats per config.
+
+    Equal, counter for counter, to ``config.build().simulate(trace)`` for
+    each config, with O(1) work per store and none per load.  A load only
+    advances time, so a store's arrival is the running instruction count
+    at it (shared by every config) plus the stall cycles the config has
+    accumulated so far.
+    """
+    stores = trace.kind_array == WRITE
+    elapsed = np.cumsum(trace.icount_array, dtype=np.int64)
+    arrivals = elapsed[stores].tolist()
+    instructions = int(elapsed[-1]) if len(elapsed) else 0
+    store_addresses = trace.address_array[stores]
+    lines_by_size: Dict[int, List[int]] = {}
+    results = []
+    for config in configs:
+        if config.retire_interval == 0:
+            # Entries retire instantly: nothing merges, nothing stalls.
+            writes = len(arrivals)
+            results.append(
+                WriteBufferStats(
+                    writes=writes,
+                    inserted=writes,
+                    retired=writes,
+                    instructions=instructions,
+                )
+            )
+            continue
+        if config.entry_size not in lines_by_size:
+            _, line_ids = np.unique(
+                store_addresses & ~(config.entry_size - 1), return_inverse=True
+            )
+            lines_by_size[config.entry_size] = line_ids.tolist()
+        stats = _drain_stores(
+            lines_by_size[config.entry_size],
+            arrivals,
+            config.entries,
+            config.retire_interval,
+        )
+        stats.instructions = instructions
+        results.append(stats)
+    return results
+
+
+def _drain_stores(lines, arrivals, capacity: int, interval: int) -> WriteBufferStats:
+    """One buffer's pass over its stores (``interval`` > 0).
+
+    ``lines`` holds each store's line as a dense id (0 up to the number
+    of distinct lines).  The FIFO is implicit: the i-th entry inserted
+    carries sequence number i, and entries retire in insertion order, so
+    after ``retired`` retirements a line is buffered iff its latest
+    sequence number is at least ``retired``.  Retirements due by a
+    store's arrival are counted arithmetically, not popped one by one.
+    """
+    idle = float("inf")  # next_retire while the buffer is empty
+    sequence = [-1] * (max(lines) + 1 if lines else 0)
+    inserted = retired = merged = full_stalls = stall_cycles = 0
+    next_retire = idle
+    for line, arrival in zip(lines, arrivals):
+        now = arrival + stall_cycles
+        if next_retire <= now:
+            due = (now - next_retire) // interval + 1
+            if due >= inserted - retired:
+                retired = inserted
+                next_retire = idle
+            else:
+                retired += due
+                next_retire += due * interval
+        if sequence[line] >= retired:
+            merged += 1
+            continue
+        if inserted - retired >= capacity:
+            # Stall until the pending retirement frees an entry.
+            full_stalls += 1
+            stall_cycles += next_retire - now
+            now = next_retire
+            retired += 1
+            next_retire = idle if retired == inserted else next_retire + interval
+        sequence[line] = inserted
+        inserted += 1
+        if next_retire == idle:
+            next_retire = now + interval
+    return WriteBufferStats(
+        writes=len(lines),
+        merged=merged,
+        inserted=inserted,
+        retired=retired,
+        stall_cycles=stall_cycles,
+        full_stalls=full_stalls,
+    )

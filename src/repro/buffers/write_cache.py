@@ -11,15 +11,22 @@ The class also supports the paper's noted extension: "a write cache can
 also be implemented with the additional functionality of a victim cache,
 in which case not all entries in the small fully-associative cache would
 be dirty" — enable ``victim_mode`` and feed it L1 victims / read probes.
+
+:func:`run_write_cache_grid` computes a grid of stand-alone runs over one
+trace from a single LRU stack-depth pass per line size;
+:meth:`WriteCache.run_writes` is its per-spec oracle.
 """
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional
+from typing import ClassVar, List, Optional, Sequence
+
+import numpy as np
 
 from repro.common.bitops import log2_int
 from repro.common.errors import ConfigurationError
 from repro.common.lru import LruTracker
 from repro.common.serde import CounterSerde
+from repro.common.units import check_count
 from repro.cache.backend import Backend
 from repro.trace.events import WRITE
 from repro.trace.trace import Trace
@@ -28,6 +35,13 @@ from repro.trace.trace import Trace
 #: unchanged (trace, config) pair; invalidates stored write-cache results.
 WRITE_CACHE_ENGINE_VERSION = 1
 
+#: Deepest entry count :func:`run_write_cache_grid` serves from its
+#: stack-depth ladder.  The ladder pays O(depth) per store where
+#: :meth:`WriteCache.run_writes` pays O(1); at 64 entries a one-spec
+#: ladder and the oracle cost about the same, so deeper specs run the
+#: oracle.
+LADDER_MAX_ENTRIES = 64
+
 
 @dataclass(frozen=True)
 class WriteCacheConfig(CounterSerde):
@@ -35,6 +49,11 @@ class WriteCacheConfig(CounterSerde):
 
     entries: int = 5
     line_size: int = 8
+
+    def __post_init__(self) -> None:
+        check_count("entries", self.entries)
+        check_count("line_size", self.line_size, minimum=1)
+        log2_int(self.line_size)
 
     def cache_key(self) -> str:
         """Stable canonical identity string (hashed by the result store)."""
@@ -199,6 +218,74 @@ class WriteCache:
     def _emit(self, line_address: int) -> None:
         if self.downstream is not None:
             self.downstream.write_through(line_address, self.line_size)
+
+
+def run_write_cache_grid(
+    trace: Trace, configs: Sequence[WriteCacheConfig], flush: bool = True
+) -> List[WriteCacheStats]:
+    """Stand-alone write-cache runs over ``trace``, one stats per config.
+
+    Equal, counter for counter, to ``config.build().run_writes(trace,
+    flush)`` for each config.  Over stores only the write cache is a
+    fully-associative LRU of line addresses, so by Mattson's inclusion
+    property a store merges at N entries exactly when its LRU stack
+    depth is below N.  One pass per distinct line size records the
+    depth histogram up to the group's largest entry count (at most
+    :data:`LADDER_MAX_ENTRIES`; deeper configs run the oracle), and
+    every config of that line size reads its counters off it.
+    """
+    results: List[Optional[WriteCacheStats]] = [None] * len(configs)
+    by_line_size = {}
+    for index, config in enumerate(configs):
+        if config.entries > LADDER_MAX_ENTRIES:
+            results[index] = config.build().run_writes(trace, flush=flush)
+        else:
+            by_line_size.setdefault(config.line_size, []).append(index)
+    store_addresses = trace.address_array[trace.kind_array == WRITE]
+    for line_size, indices in by_line_size.items():
+        lines = store_addresses & ~(line_size - 1)
+        depth = max(configs[index].entries for index in indices)
+        hist = _stack_depth_histogram(lines, depth)
+        writes = len(lines)
+        distinct = len(np.unique(lines))
+        for index in indices:
+            entries = configs[index].entries
+            merged = sum(hist[:entries])
+            resident = min(entries, distinct)
+            results[index] = WriteCacheStats(
+                writes=writes,
+                merged=merged,
+                evicted=writes - merged - resident,
+                flushed=resident if flush else 0,
+            )
+    return results
+
+
+def _stack_depth_histogram(lines: np.ndarray, depth: int) -> List[int]:
+    """``hist[d]``: stores of ``lines`` at LRU stack depth ``d < depth``.
+
+    Depth 0 is a store to the most recently stored line; a store to a
+    line never seen, or seen ``depth`` or more distinct lines ago, counts
+    nowhere.  A store repeating its predecessor's line is depth 0 and
+    leaves the stack as it was, so runs collapse before the loop.
+    """
+    hist = [0] * depth
+    if depth == 0 or len(lines) == 0:
+        return hist
+    repeats = lines[1:] == lines[:-1]
+    hist[0] = int(np.count_nonzero(repeats))
+    stack: List[int] = []  # MRU first: a line's list index is its depth
+    for line in lines[np.concatenate(([True], ~repeats))].tolist():
+        try:
+            position = stack.index(line)
+        except ValueError:
+            if len(stack) == depth:
+                stack.pop()
+        else:
+            hist[position] += 1
+            del stack[position]
+        stack.insert(0, line)
+    return hist
 
 
 class WriteCacheBackend(Backend):

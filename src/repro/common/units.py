@@ -2,6 +2,8 @@
 
 The paper labels everything in KB (binary kilobytes) and bytes; these
 helpers keep figure axes and configuration strings consistent with it.
+:func:`check_count` guards the integer fields of configs that arrive
+from the wire.
 """
 
 import re
@@ -40,3 +42,18 @@ def format_size(num_bytes: int) -> str:
         if num_bytes >= factor and num_bytes % factor == 0:
             return f"{num_bytes // factor}{suffix}"
     return f"{num_bytes}B"
+
+
+def check_count(name: str, value, minimum: int = 0) -> None:
+    """Raise unless ``value`` is an ``int`` (not ``bool``) >= ``minimum``.
+
+    Config fields such as entry counts are decoded from JSON, where
+    ``2.0`` and ``1e400`` are numbers too; either would reach the store
+    key as a second spelling of (or no) experiment, so both are refused.
+    """
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        )
+    if value < minimum:
+        raise ConfigurationError(f"{name} must be >= {minimum}, got {value}")

@@ -1,9 +1,12 @@
 """Builtin experiment runners — one per simulator family.
 
 Every runner has the one registry shape, ``runner(specs, trace) ->
-(stats_list, counters)`` over specs that share one trace: the ``cache``
-and ``system`` runners hand the whole grid to a batched kernel, and the
-buffer runners run each spec through its family's model in turn.
+(stats_list, counters)`` over specs that share one trace, and hands the
+whole grid to its family's bulk kernel: ``cache`` and ``system`` to the
+vectorised passes, ``write_cache`` to one LRU stack-depth pass per line
+size, ``write_buffer`` to a stores-only loop per spec over arrival times
+computed once, and ``victim_buffer`` to one victim-time extraction per
+distinct cache.
 
 Imported lazily by :mod:`repro.exec.experiments` on first kind lookup;
 the module-level :func:`~repro.exec.experiments.register_runner` calls at
@@ -28,11 +31,13 @@ from repro.buffers.write_buffer import (
     WRITE_BUFFER_ENGINE_VERSION,
     WriteBufferConfig,
     WriteBufferStats,
+    simulate_write_buffers,
 )
 from repro.buffers.write_cache import (
     WRITE_CACHE_ENGINE_VERSION,
     WriteCacheConfig,
     WriteCacheStats,
+    run_write_cache_grid,
 )
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import SIMULATOR_VERSION, simulate_trace_batch_info
@@ -67,17 +72,20 @@ def run_cache_grid(specs, trace):
 
 
 def run_write_buffers(specs, trace):
-    """Coalescing write buffer timing model, one run per spec (no flush
+    """Coalescing write buffer timing model over the grid (no flush
     concept: the buffer always drains on its own; ``spec.flush`` is
     identity-only here)."""
-    return [spec.config.build().simulate(trace) for spec in specs], {}
+    return simulate_write_buffers(trace, [spec.config for spec in specs]), {}
 
 
 def run_write_caches(specs, trace):
-    """Stand-alone write caches over the store stream of the trace."""
-    return [
-        spec.config.build().run_writes(trace, flush=spec.flush) for spec in specs
-    ], {}
+    """Stand-alone write caches over the store stream of the trace, the
+    grid read off one stack-depth pass per line size.  Same uniform-flush
+    invariant as :func:`run_cache_grid`."""
+    flush = specs[0].flush
+    assert all(spec.flush == flush for spec in specs)
+    configs = [spec.config for spec in specs]
+    return run_write_cache_grid(trace, configs, flush=flush), {}
 
 
 def run_victim_buffers(specs, trace):

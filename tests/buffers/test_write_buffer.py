@@ -88,6 +88,13 @@ class TestStalls:
         assert stats.merged == 0  # entry retired during the long read gap
         assert stats.instructions == trace.instruction_count
 
+    def test_reads_do_not_touch_buffer(self):
+        trace = Trace.from_refs([MemRef(0x100, 4, WRITE), MemRef(0x100, 4, READ)])
+        buffer = CoalescingWriteBuffer(retire_interval=100, read_policy="ignore")
+        stats = buffer.simulate(trace)
+        assert stats.read_matches == 0
+        assert stats.read_stall_cycles == 0
+
 
 class TestPaperTension:
     """Fig. 5's core finding: merging requires stalling."""

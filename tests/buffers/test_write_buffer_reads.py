@@ -1,20 +1,13 @@
-"""Write buffer load-interaction policies (forward / drain / ignore)."""
+"""Write buffer load policy: only ``ignore`` (the paper's Fig. 5 model)."""
 
 import pytest
 
-from repro.buffers.write_buffer import CoalescingWriteBuffer, READ_POLICIES
+from repro.buffers.write_buffer import (
+    CoalescingWriteBuffer,
+    READ_POLICIES,
+    WriteBufferConfig,
+)
 from repro.common.errors import ConfigurationError
-from repro.trace.events import READ, WRITE, MemRef
-from repro.trace.trace import Trace
-
-
-def trace_of(ops):
-    """ops: (kind_char, address, icount)."""
-    refs = [
-        MemRef(address, 4, READ if kind == "r" else WRITE, icount=icount)
-        for kind, address, icount in ops
-    ]
-    return Trace.from_refs(refs)
 
 
 class TestValidation:
@@ -26,67 +19,12 @@ class TestValidation:
         for policy in READ_POLICIES:
             CoalescingWriteBuffer(read_policy=policy)
 
+    @pytest.mark.parametrize("policy", ["forward", "drain"])
+    def test_retired_policies_refused(self, policy):
+        with pytest.raises(ConfigurationError):
+            CoalescingWriteBuffer(read_policy=policy)
+        with pytest.raises(ConfigurationError):
+            WriteBufferConfig(read_policy=policy)
 
-class TestIgnore:
-    def test_reads_do_not_touch_buffer(self):
-        buffer = CoalescingWriteBuffer(retire_interval=100, read_policy="ignore")
-        stats = buffer.simulate(trace_of([("w", 0x100, 1), ("r", 0x100, 1)]))
-        assert stats.read_matches == 0
-        assert stats.read_stall_cycles == 0
-
-
-class TestForward:
-    def test_matching_read_forwarded_free(self):
-        buffer = CoalescingWriteBuffer(retire_interval=100, read_policy="forward")
-        stats = buffer.simulate(trace_of([("w", 0x100, 1), ("r", 0x104, 1)]))
-        assert stats.read_matches == 1
-        assert stats.read_forwards == 1
-        assert stats.read_stall_cycles == 0
-
-    def test_non_matching_read_no_event(self):
-        buffer = CoalescingWriteBuffer(retire_interval=100, read_policy="forward")
-        stats = buffer.simulate(trace_of([("w", 0x100, 1), ("r", 0x500, 1)]))
-        assert stats.read_matches == 0
-
-
-class TestDrain:
-    def test_matching_read_waits_for_entry(self):
-        # Write at t=1, entry retires at t=11; read at t=2 must wait 9.
-        buffer = CoalescingWriteBuffer(retire_interval=10, read_policy="drain")
-        stats = buffer.simulate(trace_of([("w", 0x100, 1), ("r", 0x100, 1)]))
-        assert stats.read_drain_stalls == 1
-        assert stats.read_stall_cycles == 9
-        assert stats.total_stall_cpi == pytest.approx(9 / 2)
-
-    def test_fifo_position_matters(self):
-        # Two entries ahead: the matching entry is second, so the read
-        # waits for both retirements.
-        buffer = CoalescingWriteBuffer(retire_interval=10, read_policy="drain")
-        stats = buffer.simulate(
-            trace_of([("w", 0x100, 1), ("w", 0x200, 1), ("r", 0x200, 1)])
-        )
-        assert stats.read_drain_stalls == 1
-        # First entry retires at 11, second at 21; read arrives at t=3.
-        assert stats.read_stall_cycles == 21 - 3
-
-    def test_read_after_retirement_is_free(self):
-        buffer = CoalescingWriteBuffer(retire_interval=5, read_policy="drain")
-        stats = buffer.simulate(trace_of([("w", 0x100, 1), ("r", 0x100, 20)]))
-        assert stats.read_matches == 0
-        assert stats.read_stall_cycles == 0
-
-
-class TestCostComparison:
-    def test_drain_costs_more_than_forward_on_real_trace(self, small_corpus):
-        # met's routing walks read back cells they just wrote, so its
-        # loads frequently match buffered stores.
-        trace = small_corpus["met"][:15000]
-        drain = CoalescingWriteBuffer(retire_interval=30, read_policy="drain").simulate(trace)
-        forward = CoalescingWriteBuffer(retire_interval=30, read_policy="forward").simulate(trace)
-        assert drain.read_matches > 0
-        assert drain.read_stall_cycles > 0
-        assert forward.read_stall_cycles == 0
-        assert drain.total_stall_cpi > forward.total_stall_cpi
-        # Draining flushes entries early, so it can only merge fewer
-        # stores than forwarding does.
-        assert drain.merged <= forward.merged
+    def test_cache_key_keeps_the_policy(self):
+        assert WriteBufferConfig().cache_key().endswith(":reads=ignore")

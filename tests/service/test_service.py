@@ -413,6 +413,22 @@ class TestBackPressureAndDrain:
         assert service.store.stats()["records"] == 1
 
 
+def _post_raw_job(server, raw):
+    """POST ``raw`` JSON text to ``/v1/jobs``; returns (status, reply)."""
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    try:
+        connection.request(
+            "POST",
+            "/v1/jobs",
+            body=raw.encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 class TestHttpSurface:
     def test_events_stream_and_resume(self, serve):
         _, _, client = serve()
@@ -476,22 +492,43 @@ class TestHttpSurface:
             body = {"specs": [spec.to_dict()]}
         target = body if field == "priority" or form == "grid" else body["specs"][0]
         target[field] = "OUT_OF_RANGE"
-        raw = json.dumps(body).replace('"OUT_OF_RANGE"', "1e400").encode("utf-8")
-        connection = http.client.HTTPConnection(
-            server.host, server.port, timeout=10
-        )
-        try:
-            connection.request(
-                "POST",
-                "/v1/jobs",
-                body=raw,
-                headers={"Content-Type": "application/json"},
+        raw = json.dumps(body).replace('"OUT_OF_RANGE"', "1e400")
+        status, reply = _post_raw_job(server, raw)
+        assert status == 400
+        assert "error" in reply
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        [
+            ("write_cache", "entries"),
+            ("write_cache", "line_size"),
+            ("write_buffer", "entries"),
+            ("write_buffer", "entry_size"),
+            ("write_buffer", "retire_interval"),
+            ("victim_buffer", "entries"),
+            ("victim_buffer", "retire_interval"),
+        ],
+    )
+    def test_non_integer_buffer_count_gets_400(self, serve, kind, field):
+        # Each would otherwise be stored under its own spelling of the
+        # key (wc_entries=inf, wc_entries=16.0, wc_entries=True).
+        _, server, _ = serve()
+        for value in ("1e400", "16.0", "true"):
+            body = {"kind": kind, "workloads": ["ccom"], "configs": [{field: "V"}]}
+            raw = json.dumps(body).replace('"V"', value)
+            status, reply = _post_raw_job(server, raw)
+            assert status == 400, (field, value)
+            assert field in reply["error"], reply
+
+    @pytest.mark.parametrize("policy", ["forward", "drain"])
+    def test_retired_read_policy_gets_400(self, serve, policy):
+        _, _, client = serve()
+        config = {"read_policy": policy}
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(
+                {"kind": "write_buffer", "workloads": ["ccom"], "configs": [config]}
             )
-            response = connection.getresponse()
-            assert response.status == 400
-            assert "error" in json.loads(response.read())
-        finally:
-            connection.close()
+        assert excinfo.value.status == 400
 
     @pytest.mark.parametrize("path", ["/v1/jobs", "/v1/traces"])
     @pytest.mark.parametrize("length", ["abc", "-1"])
