@@ -52,9 +52,13 @@ The formulation (full equality argument in ``docs/simulator_semantics.md``,
    flushed line: write-back totals per level follow from run totals
    minus flushed-run totals.
 
-Everything is lazy per policy family: a ladder that only ever asks for
-fetch-on-write/write-back stats never builds the write-validate coverage
-tables or the no-allocate (write-around/write-invalidate) passes.
+The profile produces only the primitive counts per level, under vecsim's
+names; :func:`vecsim.fill_stats` turns one level's counts into
+:class:`~repro.cache.stats.CacheStats`, the same derivation vecsim runs
+on its own counts.  Everything is lazy per policy family: a ladder that
+only ever asks for fetch-on-write/write-back stats never builds the
+write-validate coverage tables or the no-allocate
+(write-around/write-invalidate) passes.
 
 Equality contract: :func:`simulate_ladder` returns stats bit-identical
 to :func:`vecsim.simulate_batch` for every supported configuration, and
@@ -64,6 +68,7 @@ vecsim-identical results for any grid of ``vecsim.supports`` configs.
 """
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -80,15 +85,6 @@ from repro.trace.trace import Trace
 #: Lines with more chunk columns than this are declined — the per-column
 #: tables would dwarf the savings — and served by the vecsim fallback.
 MAX_COVERAGE_COLUMNS = 32
-
-
-def supports(config: CacheConfig) -> bool:
-    """Static per-config gate: same shapes as the vectorised kernel.
-
-    Trace-dependent refinements (write-validate coverage columns) are
-    decided per profile by :meth:`SizeLadderProfile.supports_config`.
-    """
-    return vecsim.supports(config)
 
 
 @dataclass
@@ -324,12 +320,12 @@ class _NoAllocLadder:
         "around_write_hits",
         "around_read_hits",
         "around_victims",
-        "around_flushed",
+        "around_flushed_lines",
         "inval_write_hits",
         "inval_read_hits",
         "inval_victims",
         "inval_invalidations",
-        "inval_flushed",
+        "inval_flushed_lines",
     )
 
     def __init__(self, plan, profile: "SizeLadderProfile") -> None:
@@ -357,8 +353,8 @@ class _NoAllocLadder:
                 self.inval_write_hits[j] = write_hits
                 self.around_read_hits[j] = read_hits
                 self.inval_read_hits[j] = read_hits
-                self.around_flushed[j] = flushed
-                self.inval_flushed[j] = flushed
+                self.around_flushed_lines[j] = flushed
+                self.inval_flushed_lines[j] = flushed
                 continue
             order = profile._orders[j]
             g_line = profile._glines[j]
@@ -407,7 +403,7 @@ class _NoAllocLadder:
             self.around_victims[j] = resident_count - read_hits
             # Sets containing at least one load == loads with no earlier
             # load resident in their set (vecsim counts via np.unique).
-            self.around_flushed[j] = loads - resident_count
+            self.around_flushed_lines[j] = loads - resident_count
 
             # Write-invalidate: a mismatching store kills the frame until
             # the next load.  Segments sharing a lead load form the
@@ -439,7 +435,7 @@ class _NoAllocLadder:
             wi_read_hits = int(np.count_nonzero(wi_load_hit))
             self.inval_read_hits[j] = wi_read_hits
             self.inval_victims[j] = alive_count - wi_read_hits
-            self.inval_flushed[j] = np.count_nonzero(has_lead & since0 & last)
+            self.inval_flushed_lines[j] = np.count_nonzero(has_lead & since0 & last)
 
     @staticmethod
     def _saturated(profile: "SizeLadderProfile", loads: int):
@@ -673,7 +669,7 @@ class SizeLadderProfile:
 
     def supports_config(self, config: CacheConfig) -> bool:
         """Whether :meth:`stats` serves this config bit-identically."""
-        if not supports(config) or config.num_sets not in self._level:
+        if not vecsim.supports(config) or config.num_sets not in self._level:
             return False
         if config.write_miss is WriteMissPolicy.WRITE_VALIDATE:
             return self._validate_ladder() is not None
@@ -682,112 +678,67 @@ class SizeLadderProfile:
     def stats(self, config: CacheConfig, flush: bool) -> CacheStats:
         """vecsim-identical stats for one on-ladder configuration."""
         assert self.supports_config(config)
-        plan = self.plan
-        level = self._level[config.num_sets]
-        stats = CacheStats(line_size=config.line_size)
-        stats.instructions = plan.instructions
-        miss_policy = config.write_miss
-        if miss_policy in (
-            WriteMissPolicy.FETCH_ON_WRITE,
-            WriteMissPolicy.WRITE_VALIDATE,
-        ):
-            self._fill_allocating(level, config, flush, stats)
-        elif miss_policy is WriteMissPolicy.WRITE_AROUND:
-            self._fill_write_around(level, flush, stats)
-        else:
-            self._fill_write_invalidate(level, flush, stats)
+        counts = _LevelCounts(self, self._level[config.num_sets])
+        return vecsim.fill_stats(counts, self.plan, config, flush)
 
-        stats.writes = plan.writes
-        stats.reads = plan.reads
-        stats.read_line_accesses = plan.load_segments
-        stats.write_line_accesses = plan.store_segments
-        stats.fetches = (
-            stats.fetches_for_reads
-            + stats.fetches_for_partial_reads
-            + stats.fetches_for_writes
-        )
-        stats.fetch_bytes = stats.fetches * config.line_size
-        return stats
 
-    def _fill_allocating(self, level, config, flush, stats) -> None:
-        plan = self.plan
-        load_tag_hits = int(self.load_hits[level])
+def _at_level(ladder, level: int, prefix: str = "", **extra) -> SimpleNamespace:
+    """One level of a ladder's per-level arrays as plain ints, under
+    their names with ``prefix`` stripped."""
+    values = {
+        name[len(prefix):]: int(getattr(ladder, name)[level])
+        for name in ladder.__slots__
+        if name.startswith(prefix)
+    }
+    return SimpleNamespace(**values, **extra)
+
+
+class _LevelCounts:
+    """One ladder level's primitive counts, in the shape
+    :func:`vecsim.fill_stats` reads (the accessors of vecsim's
+    ``_SegmentStream``); each builds its ladder family on first use."""
+
+    __slots__ = ("profile", "level", "nonempty_sets")
+
+    def __init__(self, profile: SizeLadderProfile, level: int) -> None:
+        self.profile = profile
+        self.level = level
+        self.nonempty_sets = int(profile.touched_sets[level])
+
+    def alloc_state(self) -> SimpleNamespace:
+        plan = self.profile.plan
+        load_tag_hits = int(self.profile.load_hits[self.level])
+        write_hits = int(self.profile.store_hits[self.level])
         read_misses = plan.load_segments - load_tag_hits
-        write_hits = int(self.store_hits[level])
         write_misses = plan.store_segments - write_hits
-        stats.read_misses = read_misses
-        stats.fetches_for_reads = read_misses
-        stats.write_hits = write_hits
-        stats.write_misses = write_misses
-        stats.victims = (read_misses + write_misses) - int(
-            self.touched_sets[level]
+        return SimpleNamespace(
+            load_tag_hits=load_tag_hits,
+            read_misses=read_misses,
+            write_hits=write_hits,
+            write_misses=write_misses,
+            # Every miss but each touched set's first one evicts a line.
+            victims=read_misses + write_misses - self.nonempty_sets,
         )
-        if config.write_miss is WriteMissPolicy.WRITE_VALIDATE:
-            allocations, partials = self._validate_ladder().tables(
-                self, config.valid_granularity
-            )
-            stats.validate_allocations = int(allocations[level])
-            stats.read_partial_misses = int(partials[level])
-            stats.fetches_for_partial_reads = int(partials[level])
-        stats.fetches_for_writes = write_misses - stats.validate_allocations
-        stats.read_hits = load_tag_hits - stats.read_partial_misses
 
-        if config.is_write_back:
-            wb = self._writeback_ladder()
-            stats.writes_to_dirty_lines = int(wb.writes_to_dirty[level])
-            stats.dirty_victims = int(wb.victim_dirty_lines[level])
-            stats.dirty_victim_dirty_bytes = int(wb.victim_dirty_bytes[level])
-            stats.writebacks = stats.dirty_victims
-            stats.writeback_dirty_bytes = stats.dirty_victim_dirty_bytes
-            stats.writeback_bytes = (
-                stats.dirty_victim_dirty_bytes
-                if config.subblock_dirty_writeback
-                else stats.dirty_victims * config.line_size
-            )
-        else:
-            stats.write_throughs = plan.store_segments
-            stats.write_through_bytes = plan.store_bytes
+    def validate_state(self, granularity: int) -> SimpleNamespace:
+        allocations, partials = self.profile._validate_ladder().tables(
+            self.profile, granularity
+        )
+        return SimpleNamespace(
+            allocations=int(allocations[self.level]),
+            partial_reads=int(partials[self.level]),
+        )
 
-        if flush:
-            stats.flushed_lines = int(self.touched_sets[level])
-            if config.is_write_back:
-                wb = self._writeback_ladder()
-                stats.flushed_dirty_lines = int(wb.flush_dirty_lines[level])
-                stats.flushed_dirty_bytes = int(wb.flush_dirty_bytes[level])
-                stats.flush_writeback_bytes = (
-                    stats.flushed_dirty_bytes
-                    if config.subblock_dirty_writeback
-                    else stats.flushed_dirty_lines * config.line_size
-                )
+    def writeback_state(self) -> SimpleNamespace:
+        return _at_level(self.profile._writeback_ladder(), self.level)
 
-    def _fill_write_around(self, level, flush, stats) -> None:
-        plan = self.plan
-        state = self._noalloc_ladder()
-        stats.write_hits = int(state.around_write_hits[level])
-        stats.write_misses = plan.store_segments - stats.write_hits
-        stats.write_throughs = plan.store_segments
-        stats.write_through_bytes = plan.store_bytes
-        stats.read_hits = int(state.around_read_hits[level])
-        stats.read_misses = plan.load_segments - stats.read_hits
-        stats.fetches_for_reads = stats.read_misses
-        stats.victims = int(state.around_victims[level])
-        if flush:
-            stats.flushed_lines = int(state.around_flushed[level])
+    def around_state(self) -> SimpleNamespace:
+        return _at_level(
+            self.profile._noalloc_ladder(), self.level, "around_", invalidations=0
+        )
 
-    def _fill_write_invalidate(self, level, flush, stats) -> None:
-        plan = self.plan
-        state = self._noalloc_ladder()
-        stats.write_hits = int(state.inval_write_hits[level])
-        stats.write_misses = plan.store_segments - stats.write_hits
-        stats.write_throughs = plan.store_segments
-        stats.write_through_bytes = plan.store_bytes
-        stats.invalidations = int(state.inval_invalidations[level])
-        stats.read_hits = int(state.inval_read_hits[level])
-        stats.read_misses = plan.load_segments - stats.read_hits
-        stats.fetches_for_reads = stats.read_misses
-        stats.victims = int(state.inval_victims[level])
-        if flush:
-            stats.flushed_lines = int(state.inval_flushed[level])
+    def invalidate_state(self) -> SimpleNamespace:
+        return _at_level(self.profile._noalloc_ladder(), self.level, "inval_")
 
 
 def simulate_ladder_info(
@@ -796,16 +747,13 @@ def simulate_ladder_info(
     """Like :func:`simulate_ladder`, also reporting the work division."""
     configs = list(configs)
     for config in configs:
-        assert supports(config), "caller must check rdsim.supports(config)"
+        assert vecsim.supports(config), "caller must check vecsim.supports(config)"
     info = ProfileInfo()
     if len(trace) == 0:
         return [vecsim._empty_stats(trace, config) for config in configs], info
     results: List[Optional[CacheStats]] = [None] * len(configs)
     fallback: List[int] = []
-    by_line_size: Dict[int, List[int]] = {}
-    for index, config in enumerate(configs):
-        by_line_size.setdefault(config.line_size, []).append(index)
-    for line_size, indices in by_line_size.items():
+    for line_size, indices in vecsim.geometry_order(configs):
         profile = SizeLadderProfile(
             trace, line_size, (configs[i].num_sets for i in indices)
         )

@@ -39,16 +39,17 @@ grid of configurations:
   ``(line_size, num_sets)`` — the stable sort permutation, group
   boundaries and tags are shared by all six write-policy combinations at
   one geometry;
-- only the cheap per-config array expressions (hit classification,
-  victim/dirty scans, traffic reductions) run once per configuration.
+- per config, only :func:`fill_stats` runs: counter arithmetic over a
+  few primitive counts cached on the stream.  :mod:`repro.cache.rdsim`
+  feeds it one ladder level's counts, so both engines share it.
 
 A plan lives for the call that builds it: :func:`simulate_batch` builds
 one per line size of its grid and drops them all on return, so nothing
 trace-length outlives the call.  A plan keeps only its latest set-order
-stream, so :func:`simulate_batch` visits each line size's configs
-geometry by geometry and holds one stream at a time.  A caller that
-shares a plan across several of its own calls (the hierarchy kernel's
-level 0) builds it and passes it in.
+stream, so batch callers walk their grids in :func:`geometry_order` —
+line size by line size, geometry by geometry — and hold one stream at a
+time.  A caller that shares a plan across several of its own calls (the
+hierarchy kernel's level 0) builds it and passes it in.
 
 Results are bit-identical to :class:`repro.cache.cache.Cache` — the
 differential suites in
@@ -60,7 +61,7 @@ per-stat equality between :func:`simulate_batch` and per-run
 instead.
 """
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -110,7 +111,7 @@ def simulate_direct_mapped(
         return _empty_stats(trace, config)
     if plan is None:
         plan = _TracePlan(trace, config.line_size)
-    return _simulate_on_plan(plan, plan.stream(config.num_sets), config, flush)
+    return fill_stats(plan.stream(config.num_sets), plan, config, flush)
 
 
 def simulate_with_outcomes(
@@ -137,7 +138,7 @@ def simulate_with_outcomes(
     if plan is None:
         plan = _TracePlan(trace, config.line_size)
     stream = plan.stream(config.num_sets)
-    stats = _simulate_on_plan(plan, stream, config, flush)
+    stats = fill_stats(stream, plan, config, flush)
     return stats, _derive_outcomes(plan, stream, config, flush)
 
 
@@ -162,21 +163,34 @@ def simulate_batch(
     if len(trace) == 0:
         return [_empty_stats(trace, config) for config in configs]
     results: List[Optional[CacheStats]] = [None] * len(configs)
-    by_line_size = {}
-    for index, config in enumerate(configs):
-        by_line_size.setdefault(config.line_size, []).append(index)
-    for line_size, indices in by_line_size.items():
+    for line_size, indices in geometry_order(configs):
         plan = _TracePlan(trace, line_size)
-        # Geometry by geometry: the plan keeps one set-order stream, which
-        # every config of that geometry shares before the next replaces it.
-        indices.sort(key=lambda index: configs[index].num_sets)
         for index in indices:
             config = configs[index]
-            results[index] = _simulate_on_plan(
-                plan, plan.stream(config.num_sets), config, flush
+            results[index] = fill_stats(
+                plan.stream(config.num_sets), plan, config, flush
             )
         del plan
     return results
+
+
+def geometry_order(
+    caches: Sequence[Optional[CacheConfig]],
+) -> List[Tuple[Optional[int], List[int]]]:
+    """Indices of ``caches`` grouped by line size, each group in
+    ``num_sets`` order: the order every batch caller walks its grid in,
+    one trace plan per group and one set-order stream at a time.
+    ``None`` entries (configs the caller runs some other way) gather, in
+    input order, under the key ``None``.
+    """
+    groups: Dict[Optional[int], List[int]] = {}
+    for index, cache in enumerate(caches):
+        key = None if cache is None else cache.line_size
+        groups.setdefault(key, []).append(index)
+    for line_size, indices in groups.items():
+        if line_size is not None:
+            indices.sort(key=lambda index: caches[index].num_sets)
+    return list(groups.items())
 
 
 def _empty_stats(trace: Trace, config: CacheConfig) -> CacheStats:
@@ -185,24 +199,85 @@ def _empty_stats(trace: Trace, config: CacheConfig) -> CacheStats:
     return stats
 
 
-def _simulate_on_plan(
-    plan: "_TracePlan", stream: "_SegmentStream", config: CacheConfig, flush: bool
+def fill_stats(
+    counts, plan: "_TracePlan", config: CacheConfig, flush: bool
 ) -> CacheStats:
-    """The per-config work: classification plus the shared counter tail."""
+    """The one map from a geometry's primitive counts to :class:`CacheStats`.
+
+    ``plan`` supplies the trace totals.  ``counts`` supplies one
+    geometry's primitive counts: ``nonempty_sets`` and the lazily built
+    ``alloc_state()``, ``validate_state(granularity)``,
+    ``writeback_state()``, ``around_state()`` and ``invalidate_state()``,
+    each read only by the policies that need it (their fields are listed
+    in ``docs/simulator_semantics.md``, "Primitive counts and the one
+    derivation").  :class:`_SegmentStream` counts them with whole-stream
+    array passes, one level of a :class:`repro.cache.rdsim.SizeLadderProfile`
+    for a whole size ladder at once; sharing this map, the two engines can
+    differ in how they count but never in what a counter means.
+    """
     stats = CacheStats(line_size=config.line_size)
     stats.instructions = plan.instructions
-    miss_policy = config.write_miss
-    if miss_policy in (WriteMissPolicy.FETCH_ON_WRITE, WriteMissPolicy.WRITE_VALIDATE):
-        _classify_allocating(stream, config, flush, stats)
-    elif miss_policy is WriteMissPolicy.WRITE_AROUND:
-        _classify_write_around(stream, config, flush, stats)
-    else:  # write-invalidate
-        _classify_write_invalidate(stream, config, flush, stats)
-
     stats.writes = plan.writes
     stats.reads = plan.reads
     stats.read_line_accesses = plan.load_segments
     stats.write_line_accesses = plan.store_segments
+    miss_policy = config.write_miss
+    if miss_policy in (WriteMissPolicy.FETCH_ON_WRITE, WriteMissPolicy.WRITE_VALIDATE):
+        state = counts.alloc_state()
+        stats.read_misses = state.read_misses
+        stats.fetches_for_reads = state.read_misses
+        stats.write_hits = state.write_hits
+        stats.write_misses = state.write_misses
+        stats.victims = state.victims
+        if miss_policy is WriteMissPolicy.WRITE_VALIDATE:
+            vstate = counts.validate_state(config.valid_granularity)
+            stats.validate_allocations = vstate.allocations
+            stats.read_partial_misses = vstate.partial_reads
+            stats.fetches_for_partial_reads = vstate.partial_reads
+        stats.fetches_for_writes = state.write_misses - stats.validate_allocations
+        stats.read_hits = state.load_tag_hits - stats.read_partial_misses
+        # Under an allocating policy every touched set ends with a valid
+        # resident line.
+        flushed_lines = counts.nonempty_sets
+    else:
+        state = (
+            counts.around_state()
+            if miss_policy is WriteMissPolicy.WRITE_AROUND
+            else counts.invalidate_state()
+        )
+        stats.write_hits = state.write_hits
+        stats.write_misses = plan.store_segments - state.write_hits
+        stats.invalidations = state.invalidations
+        stats.read_hits = state.read_hits
+        stats.read_misses = plan.load_segments - state.read_hits
+        stats.fetches_for_reads = stats.read_misses
+        stats.victims = state.victims
+        flushed_lines = state.flushed_lines
+
+    # Only the allocating policies can be write-back (configuration
+    # validation pairs no-allocate with write-through).
+    if config.is_write_back:
+        wb = counts.writeback_state()
+        stats.writes_to_dirty_lines = wb.writes_to_dirty
+        stats.dirty_victims = stats.writebacks = wb.victim_dirty_lines
+        stats.dirty_victim_dirty_bytes = wb.victim_dirty_bytes
+        stats.writeback_dirty_bytes = wb.victim_dirty_bytes
+        stats.writeback_bytes = _writeback_bytes(
+            wb.victim_dirty_lines, wb.victim_dirty_bytes, config
+        )
+    else:
+        stats.write_throughs = plan.store_segments
+        stats.write_through_bytes = plan.store_bytes
+
+    if flush:
+        stats.flushed_lines = flushed_lines
+        if config.is_write_back:
+            stats.flushed_dirty_lines = wb.flush_dirty_lines
+            stats.flushed_dirty_bytes = wb.flush_dirty_bytes
+            stats.flush_writeback_bytes = _writeback_bytes(
+                wb.flush_dirty_lines, wb.flush_dirty_bytes, config
+            )
+
     stats.fetches = (
         stats.fetches_for_reads
         + stats.fetches_for_partial_reads
@@ -210,6 +285,11 @@ def _simulate_on_plan(
     )
     stats.fetch_bytes = stats.fetches * config.line_size
     return stats
+
+
+def _writeback_bytes(lines: int, dirty_bytes: int, config: CacheConfig) -> int:
+    """Bytes written back for ``lines`` dirty lines holding ``dirty_bytes``."""
+    return dirty_bytes if config.subblock_dirty_writeback else lines * config.line_size
 
 
 def _lane_count(line_size: int) -> int:
@@ -360,9 +440,6 @@ class _SegmentStream:
         "first_in_set",
         "last_in_set",
         "position",
-        "store_count",
-        "load_count",
-        "store_bytes",
         "nonempty_sets",
         "_set_start",
         "_alloc",
@@ -393,9 +470,6 @@ class _SegmentStream:
         self.first_in_set = np.concatenate(([True], boundary))
         self.last_in_set = np.concatenate((boundary, [True]))
         self.position = np.arange(count, dtype=np.int64)
-        self.store_count = plan.store_segments
-        self.load_count = plan.load_segments
-        self.store_bytes = plan.store_bytes
         self.nonempty_sets = int(np.count_nonzero(self.first_in_set))
         self._set_start = None
         self._alloc = None
@@ -508,9 +582,9 @@ def _dirty_mask_totals(masks: np.ndarray) -> Tuple[int, int]:
 # Almost everything the classifiers derive depends only on the stream —
 # not on the write policy being classified — so it is computed once per
 # geometry and cached on the stream (see the state accessors on
-# :class:`_SegmentStream`).  The ``_classify_*`` functions below then
-# reduce to counter arithmetic over these cached numbers, which is what
-# makes adding one more configuration to a batch nearly free.
+# :class:`_SegmentStream`).  :func:`fill_stats` then reduces to counter
+# arithmetic over these cached numbers, which is what makes adding one
+# more configuration to a batch nearly free.
 # ---------------------------------------------------------------------------
 
 
@@ -650,56 +724,6 @@ class _ValidateState:
         self.partial_reads = int(np.count_nonzero(self.fetch_candidate))
 
 
-def _classify_allocating(
-    stream: _SegmentStream, config: CacheConfig, flush: bool, stats: CacheStats
-) -> None:
-    validate = config.write_miss is WriteMissPolicy.WRITE_VALIDATE
-    state = stream.alloc_state()
-
-    stats.read_misses = state.read_misses
-    stats.fetches_for_reads = state.read_misses
-    stats.write_hits = state.write_hits
-    stats.write_misses = state.write_misses
-    stats.victims = state.victims
-    if validate:
-        vstate = stream.validate_state(config.valid_granularity)
-        stats.validate_allocations = vstate.allocations
-        stats.read_partial_misses = vstate.partial_reads
-        stats.fetches_for_partial_reads = vstate.partial_reads
-    stats.fetches_for_writes = state.write_misses - stats.validate_allocations
-    stats.read_hits = state.load_tag_hits - stats.read_partial_misses
-
-    if config.is_write_back:
-        wb = stream.writeback_state()
-        stats.writes_to_dirty_lines = wb.writes_to_dirty
-        stats.dirty_victims = wb.victim_dirty_lines
-        stats.dirty_victim_dirty_bytes = wb.victim_dirty_bytes
-        stats.writebacks = wb.victim_dirty_lines
-        stats.writeback_dirty_bytes = wb.victim_dirty_bytes
-        stats.writeback_bytes = (
-            wb.victim_dirty_bytes
-            if config.subblock_dirty_writeback
-            else wb.victim_dirty_lines * config.line_size
-        )
-    else:
-        stats.write_throughs = stream.store_count
-        stats.write_through_bytes = stream.store_bytes
-
-    if flush:
-        # Under an allocating policy every touched set ends with a valid
-        # resident line.
-        stats.flushed_lines = stream.nonempty_sets
-        if config.is_write_back:
-            wb = stream.writeback_state()
-            stats.flushed_dirty_lines = wb.flush_dirty_lines
-            stats.flushed_dirty_bytes = wb.flush_dirty_bytes
-            stats.flush_writeback_bytes = (
-                wb.flush_dirty_bytes
-                if config.subblock_dirty_writeback
-                else wb.flush_dirty_lines * config.line_size
-            )
-
-
 # ---------------------------------------------------------------------------
 # No-allocate policies: write-around and write-invalidate (write-through
 # only).  Loads are the only installing events, so the resident line is
@@ -723,6 +747,9 @@ def _lead_load(stream: _SegmentStream) -> Tuple[np.ndarray, np.ndarray, np.ndarr
 
 class _AroundState:
     __slots__ = ("load_hit", "write_hits", "read_hits", "victims", "flushed_lines")
+
+    #: Stores never disturb a resident line under write-around.
+    invalidations = 0
 
     def __init__(self, stream: _SegmentStream) -> None:
         store = stream.store
@@ -964,36 +991,3 @@ def _derive_outcomes(
         plan.store if config.is_write_through else np.zeros(count, dtype=bool)
     )
     return out
-
-
-def _classify_write_around(
-    stream: _SegmentStream, config: CacheConfig, flush: bool, stats: CacheStats
-) -> None:
-    state = stream.around_state()
-    stats.write_hits = state.write_hits
-    stats.write_misses = stream.store_count - state.write_hits
-    stats.write_throughs = stream.store_count
-    stats.write_through_bytes = stream.store_bytes
-    stats.read_hits = state.read_hits
-    stats.read_misses = stream.load_count - state.read_hits
-    stats.fetches_for_reads = stats.read_misses
-    stats.victims = state.victims
-    if flush:
-        stats.flushed_lines = state.flushed_lines
-
-
-def _classify_write_invalidate(
-    stream: _SegmentStream, config: CacheConfig, flush: bool, stats: CacheStats
-) -> None:
-    state = stream.invalidate_state()
-    stats.write_hits = state.write_hits
-    stats.write_misses = stream.store_count - state.write_hits
-    stats.write_throughs = stream.store_count
-    stats.write_through_bytes = stream.store_bytes
-    stats.invalidations = state.invalidations
-    stats.read_hits = state.read_hits
-    stats.read_misses = stream.load_count - state.read_hits
-    stats.fetches_for_reads = stats.read_misses
-    stats.victims = state.victims
-    if flush:
-        stats.flushed_lines = state.flushed_lines

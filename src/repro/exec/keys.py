@@ -16,8 +16,10 @@ Config objects plug in via duck typing: anything frozen/hashable with a
 """
 
 import hashlib
+import math
 from dataclasses import dataclass
 
+from repro.common.errors import ConfigurationError
 from repro.exec.experiments import engine_version_for, get_kind
 
 
@@ -31,6 +33,15 @@ class ExperimentSpec:
     seed: int
     config: object
     flush: bool = True
+
+    def __post_init__(self) -> None:
+        # The boundary where a scale enters from flags, wire payloads and
+        # callers: a non-finite or non-positive one would otherwise fail
+        # later, inside trace generation in some worker.
+        if not 0 < self.scale < math.inf:
+            raise ConfigurationError(
+                f"scale must be a finite number > 0, got {self.scale!r}"
+            )
 
     def canonical(self) -> str:
         """The exact string that is hashed into the store address.

@@ -55,6 +55,7 @@ fault-injection framework driving the chaos suite lives in
 """
 
 import heapq
+import math
 import os
 import sys
 import threading
@@ -155,13 +156,32 @@ def default_retries() -> int:
     return DEFAULT_RETRIES if retries is None else max(0, retries)
 
 
+def _task_deadline(value: Optional[float], source: str) -> Optional[float]:
+    """``value`` seconds as a task deadline; None means wait forever.
+
+    Unset, zero, negative and infinite values all mean no deadline.  NaN,
+    or a finite value past the longest wait a lock accepts
+    (``threading.TIMEOUT_MAX``), raises :class:`ConfigurationError`
+    naming ``source``.
+    """
+    if value is None:
+        return None
+    value = float(value)
+    if math.isnan(value) or threading.TIMEOUT_MAX < value < math.inf:
+        raise ConfigurationError(
+            f"{source}={value!r} is not a task timeout: give seconds up to "
+            f"{threading.TIMEOUT_MAX:.0f}, or inf for none"
+        )
+    return value if 0 < value < math.inf else None
+
+
 def default_task_timeout() -> Optional[float]:
     """Per-task deadline in seconds (None = wait forever, the default)."""
     if _default_timeout_override is not _UNSET:
-        value = float(_default_timeout_override)
-        return value if value > 0 else None
-    value = env_number(ENV_TASK_TIMEOUT, float)
-    return value if value is not None and value > 0 else None
+        return _task_deadline(_default_timeout_override, "--task-timeout")
+    return _task_deadline(
+        env_number(ENV_TASK_TIMEOUT, float), f"${ENV_TASK_TIMEOUT}"
+    )
 
 
 @dataclass(frozen=True)
@@ -461,7 +481,9 @@ class ExperimentPool:
         self.jobs = max(1, jobs)
         self.retries = default_retries() if retries is None else max(0, retries)
         self.task_timeout = (
-            default_task_timeout() if task_timeout is None else task_timeout
+            default_task_timeout()
+            if task_timeout is None
+            else _task_deadline(task_timeout, "task_timeout")
         )
         self.backoff = DEFAULT_BACKOFF if backoff is None else max(0.0, backoff)
         self.faults = faults_module.active_plan() if faults is None else faults

@@ -319,23 +319,23 @@ def simulate_hierarchy_batch_info(
     the batch entry point exists so the top-level trace plan is built
     once per level-0 line size and shared across the grid, then dropped
     before the next line size.  Configs run level-0 geometry by
-    geometry, so the plan's one set-order stream serves every config
-    that shares it.  The returned info dict's ``hier_vector_runs`` counts
-    runs whose first level went through the vector kernel — the pool
-    folds it into :class:`~repro.exec.pool.PoolTelemetry`.
+    geometry (:func:`vecsim.geometry_order`), so the plan's one
+    set-order stream serves every config that shares it.  The returned
+    info dict's ``hier_vector_runs`` counts runs whose first level went
+    through the vector kernel — the pool folds it into
+    :class:`~repro.exec.pool.PoolTelemetry`.
     """
     configs = [_as_hierarchy(config) for config in configs]
     results: List[SystemStats] = [None] * len(configs)
     vector_runs = 0
-    by_line_size = {}
-    for index, config in enumerate(configs):
-        top = config.levels[0]
-        vector_top = len(trace) and supports_level(top)
-        key = top.cache.line_size if vector_top else None
-        by_line_size.setdefault(key, []).append(index)
-    for line_size, indices in by_line_size.items():
+    tops = [
+        config.levels[0].cache
+        if len(trace) and supports_level(config.levels[0])
+        else None
+        for config in configs
+    ]
+    for line_size, indices in vecsim.geometry_order(tops):
         plan = None if line_size is None else vecsim._TracePlan(trace, line_size)
-        indices.sort(key=lambda index: configs[index].levels[0].cache.num_sets)
         for index in indices:
             results[index], vectorized = _simulate(
                 trace, configs[index], flush, plan

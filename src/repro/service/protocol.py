@@ -101,18 +101,21 @@ def _expand_grid(payload: dict) -> List[ExperimentSpec]:
             decoded_configs.append(kind.config_type.from_dict(config_payload))
         except (ConfigurationError, ValueError, TypeError, KeyError) as error:
             raise ProtocolError(f"bad config payload: {error}") from error
-    return [
-        ExperimentSpec(
-            kind=kind.name,
-            workload=str(workload),
-            scale=scale,
-            seed=seed,
-            config=config,
-            flush=flush,
-        )
-        for workload in workloads
-        for config in decoded_configs
-    ]
+    try:
+        return [
+            ExperimentSpec(
+                kind=kind.name,
+                workload=str(workload),
+                scale=scale,
+                seed=seed,
+                config=config,
+                flush=flush,
+            )
+            for workload in workloads
+            for config in decoded_configs
+        ]
+    except ConfigurationError as error:
+        raise ProtocolError(str(error)) from error
 
 
 def parse_job_request(payload: object) -> JobRequest:

@@ -7,6 +7,7 @@ instructions-per-data-reference ratio.  :class:`Workload` is the tiny
 abstract base the six benchmark models derive from.
 """
 
+import math
 import random
 import zlib
 from abc import ABC, abstractmethod
@@ -196,8 +197,10 @@ class Workload(ABC):
     paper_read_write_ratio: float = 2.4
 
     def __init__(self, scale: float = 1.0, seed: int = 1991) -> None:
-        if scale <= 0:
-            raise ConfigurationError("scale must be positive")
+        if not 0 < scale < math.inf:
+            raise ConfigurationError(
+                f"scale must be a finite number > 0, got {scale!r}"
+            )
         self.scale = scale
         self.seed = seed
 

@@ -136,12 +136,6 @@ class TestDifferentialLadder:
 
 
 class TestShapesAndFallback:
-    def test_supports_mirrors_vecsim(self):
-        direct = CacheConfig(size=1024, line_size=16)
-        assoc = CacheConfig(size=1024, line_size=16, associativity=2)
-        assert rdsim.supports(direct)
-        assert rdsim.supports(assoc) == vecsim.supports(assoc) == False
-
     def test_empty_trace_and_empty_grid(self):
         empty = Trace([], [], [], [], name="empty")
         configs = ladder_configs(16)

@@ -114,6 +114,8 @@ class TestErrorExits:
             ("REPRO_JOBS", "abc", pool_module.default_jobs),
             ("REPRO_RETRIES", "x", pool_module.default_retries),
             ("REPRO_TASK_TIMEOUT", "soon", pool_module.default_task_timeout),
+            ("REPRO_TASK_TIMEOUT", "nan", pool_module.default_task_timeout),
+            ("REPRO_TASK_TIMEOUT", "1e10", pool_module.default_task_timeout),
             ("REPRO_SERVE_PORT", "http", app_module.default_port),
             ("REPRO_SERVE_PORT", "70000", app_module.default_port),
             ("REPRO_SERVE_PORT", "-1", app_module.default_port),
@@ -159,6 +161,21 @@ class TestErrorExits:
         if content is not None:
             path.write_text(content)
         self.run_module(["simulate", "--trace", str(path)], "off")
+
+    @pytest.mark.parametrize(
+        "args,named",
+        [
+            (["--task-timeout", "1e10"], "--task-timeout"),
+            (["--task-timeout", "nan"], "--task-timeout"),
+            (["--scale", "nan"], "scale"),
+            (["--scale", "inf"], "scale"),
+        ],
+    )
+    def test_unusable_sweep_number_reports_one_line(self, args, named):
+        line = self.run_module(
+            ["sweep", "--scale", SCALE, "--jobs", "2", *args], "off"
+        )
+        assert named in line
 
     def test_corrupt_catalog_record_reports_one_line(self, tmp_path):
         from repro.trace.catalog import CATALOG_DIRNAME, TraceCatalog

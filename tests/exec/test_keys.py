@@ -6,6 +6,7 @@ import pytest
 
 from repro.buffers.write_cache import WriteCacheConfig
 from repro.cache.config import CacheConfig
+from repro.common.errors import ConfigurationError
 from repro.core.runner import experiment_key
 from repro.exec import experiments
 from repro.exec.experiments import UnknownExperimentKind, get_kind
@@ -31,6 +32,12 @@ def test_digest_depends_on_every_component():
     ]
     digests = {base.digest()} | {variant.digest() for variant in variants}
     assert len(digests) == len(variants) + 1
+
+
+@pytest.mark.parametrize("scale", [float("inf"), float("nan"), 0.0, -1.0])
+def test_unusable_scale_rejected(scale):
+    with pytest.raises(ConfigurationError, match="scale"):
+        ExperimentSpec("cache", "ccom", scale, 1991, CacheConfig())
 
 
 def test_close_scales_do_not_collide():

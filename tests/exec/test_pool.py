@@ -1,9 +1,12 @@
 """ExperimentPool: dedup, lookup path, serial fallback, parallel identity."""
 
+import threading
+
 import pytest
 
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import simulate_trace
+from repro.common.errors import ConfigurationError
 from repro.core.runner import experiment_key
 from repro.exec import pool as pool_module
 from repro.exec.pool import ExperimentPool, RunEvent, verbose_reporter
@@ -65,6 +68,24 @@ def test_parallel_bit_identical_to_serial(store):
     assert pool.telemetry.computed == len(set(GRID))
     for key, stats in results.items():
         assert stats == serial_reference(key), key.describe()
+
+
+@pytest.mark.parametrize("timeout", [float("inf"), 1e400])
+def test_infinite_task_timeout_means_no_deadline(store, timeout):
+    pool = ExperimentPool(store=store, jobs=2, task_timeout=timeout)
+    assert pool.task_timeout is None
+    for key, stats in pool.run_many(GRID).items():
+        assert stats == serial_reference(key), key.describe()
+
+
+@pytest.mark.parametrize(
+    "timeout", [float("nan"), 1e10, threading.TIMEOUT_MAX + 10]
+)
+def test_unusable_task_timeout_rejected(timeout):
+    # A finite deadline past threading.TIMEOUT_MAX overflows the lock
+    # wait of every parallel run; NaN would silently disable it.
+    with pytest.raises(ConfigurationError, match="task_timeout"):
+        ExperimentPool(jobs=2, task_timeout=timeout)
 
 
 def test_second_batch_served_from_store(store):

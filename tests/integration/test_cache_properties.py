@@ -9,6 +9,8 @@ These are the classic structural theorems a correct simulator must obey:
   traces, not just the corpus.
 - Write-cache merging is monotone in the entry count (LRU stack
   property at 8 B granularity).
+- Under write-through, write-through traffic does not depend on the
+  write-miss policy, in every engine.
 """
 
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.buffers.write_cache import WriteCache
+from repro.cache import rdsim, vecsim
 from repro.cache.cache import Cache
 from repro.cache.config import CacheConfig
 from repro.cache.fastsim import simulate_trace
@@ -114,3 +117,42 @@ class TestMissClassificationInvariant:
 
         if hit is WriteHitPolicy.WRITE_BACK:
             assert writeback_identity_holds(stats)
+
+
+class TestWriteThroughTrafficInvariant:
+    """Under write-through every store is sent on exactly once, whatever
+    happens to the line, so ``write_throughs`` and ``write_through_bytes``
+    are identical across all four write-miss policies — in the reference
+    cache, in vecsim and in a size ladder."""
+
+    @given(
+        trace=small_trace(max_refs=160, slots=64),
+        line_size=st.sampled_from([4, 8, 16, 32, 64]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_identical_across_write_miss_policies(self, trace, line_size):
+        configs = [
+            CacheConfig(
+                size=line_size * lines,
+                line_size=line_size,
+                write_hit=WriteHitPolicy.WRITE_THROUGH,
+                write_miss=policy,
+            )
+            for lines in (1, 4, 16)
+            for policy in WriteMissPolicy
+        ]
+        ladder, info = rdsim.simulate_ladder_info(trace, configs)
+        assert info.fallback_runs == 0
+        engines = {
+            "cache": [Cache(config).run(trace) for config in configs],
+            "vecsim": vecsim.simulate_batch(trace, configs),
+            "ladder": ladder,
+        }
+        for engine, results in engines.items():
+            for size in {config.size for config in configs}:
+                traffic = {
+                    (stats.write_throughs, stats.write_through_bytes)
+                    for config, stats in zip(configs, results)
+                    if config.size == size
+                }
+                assert len(traffic) == 1, (engine, size, traffic)

@@ -497,6 +497,23 @@ class TestHttpSurface:
         assert status == 400
         assert "error" in reply
 
+    @pytest.mark.parametrize("form", ["grid", "specs"])
+    @pytest.mark.parametrize("value", ["1e400", "NaN", "0", "-1"])
+    def test_unusable_scale_gets_400(self, serve, form, value):
+        # Accepted, such a scale would only fail later, in a worker.
+        _, server, _ = serve()
+        if form == "grid":
+            body = {"kind": "cache", "workloads": ["ccom"], "configs": [{}]}
+            target = body
+        else:
+            spec = ExperimentSpec("cache", "ccom", SCALE, SEED, CacheConfig())
+            body = {"specs": [spec.to_dict()]}
+            target = body["specs"][0]
+        target["scale"] = "V"
+        status, reply = _post_raw_job(server, json.dumps(body).replace('"V"', value))
+        assert status == 400
+        assert "scale" in reply["error"], reply
+
     @pytest.mark.parametrize(
         "kind, field",
         [
